@@ -18,8 +18,9 @@ from .lattice import (
     Isogeny,
     TauPoint,
     TorusPoint,
+    _torsion_pair,
+    _torsion_pairs,
     reduce_tau,
-    mult_by_n_kernel,
     transport_point,
 )
 from .modular import (
@@ -70,6 +71,28 @@ def _log_green_unreduced(tau: TauPoint, a: float, b: float,
     return log_abs_theta_shifted(c, d, tau, tol) - _log_abs_eta(tau, tol)
 
 
+def _log_green_sum(tau: TauPoint, n: int, pairs: list[tuple[int, int]],
+                   tol: SeriesTolerance) -> float:
+    # Sum of log G(0, (i + j*tau)/n) over the nonzero pairs (i, j) mod n.
+    # tau is reduced and log|eta| computed once for the whole sum; each pair
+    # moves through the reduction matrix in integers, and i/n rounds as
+    # float(Fraction(i, n)) does, so every term equals green(...).log_value.
+    red, ((ma, mb), (mc, md)) = reduce_tau(tau)
+    log_eta = _log_abs_eta(red, tol)
+    logs = []
+    for i, j in pairs:
+        a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
+        if a or b:
+            c, d = (a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0
+            logs.append(log_abs_theta_shifted(c, d, red, tol) - log_eta)
+    total = math.fsum(logs)
+    if total == -math.inf:  # G vanishes only at 0: a theta sum underflowed
+        raise ArithmeticError(
+            f"theta sum underflowed at a nonzero torsion point (reduced Im tau = {red.im!r})"
+        )
+    return total
+
+
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
     """G(0, z) on the torus marked by tau.
 
@@ -116,15 +139,12 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
 
 
 def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """prod of G(0, P) over the nonzero n-torsion points (contract: equals n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    logs = [
-        green(tau, p, tol).log_value
-        for p in mult_by_n_kernel(n)
-        if not p.is_zero
-    ]
-    return math.exp(math.fsum(logs))
+    """prod of G(0, P) over the nonzero n-torsion points (contract: equals n).
+
+    Raises ArithmeticError where a theta sum underflows (reduced Im tau
+    of a few hundred or more).
+    """
+    return math.exp(_log_green_sum(tau, n, _torsion_pairs(n), tol))
 
 
 def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -132,13 +152,11 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
 
     Returns (product, predicted) with product = prod_{P in ker, P != 0} G(0, P)
     on the source and predicted = sqrt(N) * ||eta||(target)^2 / ||eta||(source)^2.
+    Raises ArithmeticError where a theta sum underflows, as torsion_product.
     """
-    logs = [
-        green(iso.source, p, tol).log_value
-        for p in iso.kernel
-        if not p.is_zero
-    ]
-    product = math.exp(math.fsum(logs))
+    n = iso.degree
+    pairs = [_torsion_pair(p, n) for p in iso.kernel]
+    product = math.exp(_log_green_sum(iso.source, n, pairs, tol))
     red_src, _ = reduce_tau(iso.source)
     red_tgt, _ = reduce_tau(iso.target)
     log_ratio = 2.0 * (

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .green import green
+from .green import _log_green_sum, green  # noqa: F401  perfbench/tests reads heights.green
 from .lattice import (
     TauPoint,
+    _exact_order_pairs,
+    _subgroup_pairs,
     cyclic_subgroups,
-    exact_order_points,
     quotient,
-    subgroup_points,
 )
 from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
 
@@ -80,13 +80,9 @@ def exact_order_log_green_expected(m: int) -> float:
 def exact_order_log_green(tau: TauPoint, m: int,
                           tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
-    point, the only point of exact order 1, is excluded by convention)."""
-    logs = [
-        green(tau, p, tol).log_value
-        for p in exact_order_points(m)
-        if not p.is_zero
-    ]
-    return math.fsum(logs)
+    point, the only point of exact order 1, is excluded by convention).
+    Raises ArithmeticError where a theta sum underflows, as torsion_product."""
+    return _log_green_sum(tau, m, _exact_order_pairs(m), tol)
 
 
 def average_height_increment(n: int) -> float:
@@ -123,19 +119,15 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
                               tol: SeriesTolerance = DEFAULT_TOL) -> AverageHeightReport:
     """Average, over all cyclic order-n subgroups, of the summed log-Green
     values over nonzero subgroup points, together with the discriminant-norm
-    route through the quotient tori."""
+    route through the quotient tori.  Raises ArithmeticError where a theta
+    sum underflows, as torsion_product."""
     subs = cyclic_subgroups(n)
     count = len(subs)
     log_delta_src = log_norm_delta(tau, tol)
     green_sums = []
     delta_drops = []
     for sub in subs:
-        logs = [
-            green(tau, p, tol).log_value
-            for p in subgroup_points(sub)
-            if not p.is_zero
-        ]
-        green_sums.append(math.fsum(logs))
+        green_sums.append(_log_green_sum(tau, n, _subgroup_pairs(sub), tol))
         iso = quotient(tau, sub)
         delta_drops.append((log_delta_src - log_norm_delta(iso.target, tol)) / 12.0)
     return AverageHeightReport(

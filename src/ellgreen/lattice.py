@@ -57,17 +57,8 @@ class TorusPoint:
     b: Coord
 
     def __post_init__(self):
-        a, b = self.a, self.b
-        if isinstance(a, int):
-            a = Fraction(a)
-        if isinstance(b, int):
-            b = Fraction(b)
-        if isinstance(a, float) and not math.isfinite(a):
-            raise ValueError(f"non-finite coordinate a = {a!r}")
-        if isinstance(b, float) and not math.isfinite(b):
-            raise ValueError(f"non-finite coordinate b = {b!r}")
-        object.__setattr__(self, "a", a % 1)
-        object.__setattr__(self, "b", b % 1)
+        object.__setattr__(self, "a", _mod_one(self.a, "a"))
+        object.__setattr__(self, "b", _mod_one(self.b, "b"))
 
     @property
     def is_zero(self) -> bool:
@@ -87,6 +78,19 @@ class TorusPoint:
 
     def to_complex(self, tau: TauPoint) -> complex:
         return float(self.a) + float(self.b) * tau.z
+
+
+def _mod_one(x: Coord, name: str) -> Coord:
+    if isinstance(x, int):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        # torsion points mostly arrive reduced; the test is cheaper than % 1
+        return x if 0 <= x.numerator < x.denominator else x % 1
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"non-finite coordinate {name} = {x!r}")
+    x = x % 1
+    # float % 1 rounds up to 1.0 for tiny negative x; 0.0 is the same class
+    return 0.0 if x == 1.0 else x
 
 
 def mobius(mat: IntMatrix, z: complex) -> complex:
@@ -218,36 +222,50 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
     return [CyclicSubgroup(n, u, v) for u, v in ordered]
 
 
+# Torsion points are enumerated as integer pairs (i, j) for (i/n, j/n) mod 1;
+# kernel sums use the pairs, the public point lists are built from them.
+
+def _points(n: int, pairs: list[tuple[int, int]]) -> list[TorusPoint]:
+    return [TorusPoint(Fraction(i, n), Fraction(j, n)) for i, j in pairs]
+
+
+def _subgroup_pairs(sub: CyclicSubgroup) -> list[tuple[int, int]]:
+    n, u, v = sub.order, sub.u, sub.v
+    return [((k * u) % n, (k * v) % n) for k in range(n)]
+
+
+def _exact_order_pairs(m: int) -> list[tuple[int, int]]:
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    return [(a, b) for a in range(m) for b in range(m) if gcd(gcd(a, b), m) == 1]
+
+
+def _torsion_pairs(n: int) -> list[tuple[int, int]]:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return [(a, b) for a in range(n) for b in range(n)]
+
+
+def _torsion_pair(p: TorusPoint, n: int) -> tuple[int, int]:
+    i, j = p.a * n, p.b * n
+    if i != int(i) or j != int(j):
+        raise ValueError(f"point {p} is not {n}-torsion")
+    return int(i), int(j)
+
+
 def subgroup_points(sub: CyclicSubgroup) -> list[TorusPoint]:
     """The order-N points k*(u/N, v/N) mod 1, k = 0..N-1 (zero included)."""
-    n, u, v = sub.order, sub.u, sub.v
-    return [
-        TorusPoint(Fraction((k * u) % n, n), Fraction((k * v) % n, n))
-        for k in range(n)
-    ]
+    return _points(sub.order, _subgroup_pairs(sub))
 
 
 def exact_order_points(m: int) -> list[TorusPoint]:
     """All torsion points of exact order m: (a/m, b/m) with gcd(a, b, m) = 1."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return [
-        TorusPoint(Fraction(a, m), Fraction(b, m))
-        for a in range(m)
-        for b in range(m)
-        if gcd(gcd(a, b), m) == 1
-    ]
+    return _points(m, _exact_order_pairs(m))
 
 
 def mult_by_n_kernel(n: int) -> list[TorusPoint]:
     """The n^2 points of the kernel of multiplication by n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [
-        TorusPoint(Fraction(a, n), Fraction(b, n))
-        for a in range(n)
-        for b in range(n)
-    ]
+    return _points(n, _torsion_pairs(n))
 
 
 @dataclass(frozen=True)
@@ -272,15 +290,21 @@ class Isogeny:
             raise ValueError(
                 f"kernel has {len(self.kernel)} points, expected degree {self.degree}"
             )
-        pts = set(self.kernel)
-        if TorusPoint(0, 0) not in pts:
-            raise ValueError("kernel must contain the zero point")
-        for p in self.kernel:
-            for q in self.kernel:
-                if p + q not in pts:
-                    raise ValueError("kernel is not closed under addition")
         # also checks that scale maps the source lattice into the target one
-        self.coordinate_matrix()
+        (t11, t12), (t21, t22) = self.coordinate_matrix()
+        # det T = n, so the kernel of T on (Q/Z)^2 has exactly n points: n
+        # distinct n-torsion points that T sends to the lattice are that whole
+        # subgroup, zero and closure under addition included.
+        n = self.degree
+        pairs = {_torsion_pair(p, n) for p in self.kernel}
+        if len(pairs) != n:
+            raise ValueError("kernel points are not distinct")
+        for i, j in pairs:
+            if (t11 * i + t12 * j) % n or (t21 * i + t22 * j) % n:
+                raise ValueError(
+                    f"scale does not send kernel point ({i}/{n}, {j}/{n}) "
+                    "to the target lattice"
+                )
 
     def coordinate_matrix(self) -> IntMatrix:
         """Integer matrix T sending source lattice coordinates to target

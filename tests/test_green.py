@@ -111,6 +111,13 @@ def test_torsion_product_rejects_bad_order():
         torsion_product(TAU, 0)
 
 
+def test_torsion_product_raises_when_theta_underflows():
+    # at Im tau = 1000 the theta sum at (1/2, 0) underflows to 0; a nonzero
+    # point is never a zero of G, so the product must not read 0
+    with pytest.raises(ArithmeticError, match="underflowed"):
+        torsion_product(TauPoint(0.0, 1000.0), 2)
+
+
 # ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------

@@ -14,8 +14,15 @@ from ellgreen.heights import (
     exact_order_log_green_expected,
     faltings_height,
 )
-from ellgreen.green import green
-from ellgreen.lattice import TauPoint, cyclic_subgroups, quotient, subgroup_points
+from ellgreen.green import energy, green, torsion_product
+from ellgreen.lattice import (
+    TauPoint,
+    cyclic_subgroups,
+    exact_order_points,
+    mult_by_n_kernel,
+    quotient,
+    subgroup_points,
+)
 from ellgreen.modular import SeriesTolerance, log_norm_delta
 
 TAU = TauPoint(0.13, 1.32)
@@ -194,3 +201,31 @@ def test_height_multi_embedding_average():
         faltings_height(CurveHeightInput(1, 1.4, (t,))) for t in taus
     ]
     assert abs(faltings_height(inp) - math.fsum(parts) / 3.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# kernel sums against the per-point loop they replaced
+# ---------------------------------------------------------------------------
+
+# TAU moved by the word z -> -1/(z + 2), z -> -1/(z - 1): about 0.73 + 0.11i
+UNREDUCED_TAU = TauPoint.from_complex(-1 / (-1 / (TAU.z + 2) - 1))
+
+
+def per_point_log_sum(tau, points):
+    return math.fsum(green(tau, p).log_value for p in points if not p.is_zero)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 24])
+@pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
+def test_kernel_sums_equal_per_point_loop(tau, n):
+    # the integer-pair sums do the same float operations as green(), so the
+    # results must be equal, not merely close
+    assert torsion_product(tau, n) == math.exp(per_point_log_sum(tau, mult_by_n_kernel(n)))
+    assert exact_order_log_green(tau, n) == per_point_log_sum(tau, exact_order_points(n))
+    sums = []
+    for sub in cyclic_subgroups(n):
+        iso = quotient(tau, sub)
+        assert energy(iso)[0] == math.exp(per_point_log_sum(tau, iso.kernel))
+        sums.append(per_point_log_sum(tau, subgroup_points(sub)))
+    report = average_green_over_cyclic(tau, n)
+    assert report.green_average == math.fsum(sums) / len(sums)

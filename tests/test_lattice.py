@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -58,6 +59,14 @@ def test_torus_point_reduces_mod_one():
     assert p.a == Fraction(1, 4)
     assert p.b == Fraction(3, 4)
     assert TorusPoint(1.25, -0.25).a == 0.25
+
+
+def test_torus_point_float_coordinates_stay_below_one():
+    # float % 1 rounds tiny negative coordinates up to 1.0
+    assert TorusPoint(-1e-20, 0.0).a == 0.0
+    p = TorusPoint(-1e-17, -1e-300)
+    assert (p.a, p.b) == (0.0, 0.0)
+    assert p.is_zero
 
 
 def test_torus_point_zero_and_arithmetic():
@@ -307,6 +316,19 @@ def test_isogeny_rejects_inconsistent_scale():
     with pytest.raises((ValueError, AssertionError)):
         Isogeny(source=tau, target=tau, degree=1,
                 kernel=(TorusPoint(0, 0),), scale=1.3 + 0.2j)
+
+
+def test_isogeny_rejects_kernel_not_sent_to_target_lattice():
+    iso = quotient(TauPoint(0.0, 1.0), CyclicSubgroup(2, 1, 0))
+    half = Fraction(1, 2)
+    # the other order-2 subgroup: 2-torsion, but scale moves it off the lattice
+    with pytest.raises(ValueError, match="target lattice"):
+        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(0, half)))
+    with pytest.raises(ValueError, match="torsion"):
+        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(Fraction(1, 4), 0)))
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(0, 0)))
+    dataclasses.replace(iso, kernel=iso.kernel[::-1])  # any order is accepted
 
 
 def test_quotient_targets_satisfy_modular_polynomial(rng):
