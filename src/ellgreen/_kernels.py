@@ -1,26 +1,21 @@
 """Batched evaluation of the shifted theta sum over coordinate grids.
 
-This is the hot loop behind the Green-function mean quadrature: a few
-hundred thousand points, each summing a short Gaussian-weighted series.
-The numba kernel is used when available; set ELLGREEN_DISABLE_NUMBA=1 to
-force the pure-numpy path (both produce the same values to rounding).
+Used by the Green-function mean quadrature: each point sums a short
+Gaussian-weighted series, vectorised over the points with numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
-_DISABLE = os.environ.get("ELLGREEN_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
 
-
-def log_abs_theta_shifted_numpy(c: np.ndarray, d: np.ndarray, tau_re: float,
-                                tau_im: float, half_width: int) -> np.ndarray:
+def log_abs_theta_shifted_grid(c: np.ndarray, d: np.ndarray, tau_re: float,
+                               tau_im: float, half_width: int) -> np.ndarray:
     """log |sum_n exp(i*pi*tau*(n+d)^2 + 2*pi*i*n*c)| per point, vectorised.
 
     c, d: 1-D float64 arrays of lattice coordinates in [0, 1).  The window
@@ -39,48 +34,3 @@ def log_abs_theta_shifted_numpy(c: np.ndarray, d: np.ndarray, tau_re: float,
     h = sre * sre + sim * sim
     with np.errstate(divide="ignore"):
         return 0.5 * np.log(h)
-
-
-if not _DISABLE:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-else:
-    numba = None
-
-if numba is not None:
-    # parallel is safe: points are independent and the caller reduces the
-    # output in a fixed order, so results stay reproducible run to run
-    @numba.njit(cache=True, parallel=True)
-    def _log_abs_theta_shifted_jit(c, d, tau_re, tau_im, half_width):  # pragma: no cover
-        npts = c.shape[0]
-        out = np.empty(npts, dtype=np.float64)
-        for i in numba.prange(npts):
-            ci = c[i]
-            di = d[i]
-            n0 = int(math.floor(-di + 0.5))
-            sre = 0.0
-            sim = 0.0
-            for n in range(n0 - half_width, n0 + half_width + 1):
-                m = n + di
-                amp = math.exp(-_PI * tau_im * m * m)
-                phi = _PI * tau_re * m * m + _TWO_PI * n * ci
-                sre += amp * math.cos(phi)
-                sim += amp * math.sin(phi)
-            h = sre * sre + sim * sim
-            out[i] = -np.inf if h == 0.0 else 0.5 * math.log(h)
-        return out
-
-    def log_abs_theta_shifted_numba(c, d, tau_re, tau_im, half_width):
-        return _log_abs_theta_shifted_jit(
-            np.ascontiguousarray(c, dtype=np.float64),
-            np.ascontiguousarray(d, dtype=np.float64),
-            float(tau_re), float(tau_im), int(half_width),
-        )
-
-    ACTIVE_IMPL = "numba"
-    log_abs_theta_shifted_grid = log_abs_theta_shifted_numba
-else:
-    ACTIVE_IMPL = "numpy"
-    log_abs_theta_shifted_grid = log_abs_theta_shifted_numpy

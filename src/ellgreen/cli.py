@@ -293,7 +293,7 @@ def cmd_faltings(args, tol) -> OutputRecord:
 
 
 def cmd_verify(args, tol) -> int:
-    results = run_checks(level=args.level, seed=args.seed, grid=args.grid, tol=tol)
+    results = run_checks(level=args.level, seed=args.seed, tol=tol)
     if args.json:
         payload = [
             {
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative series tolerance (default 1e-12)")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of a table")
-    parser.add_argument("--grid", type=int, default=512,
-                        help="quadrature grid size for verify (default 512)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("invariants", help="normalised eta/delta and the differential norm")

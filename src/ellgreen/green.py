@@ -55,7 +55,21 @@ class GreenValue:
 
     @classmethod
     def from_log(cls, log_value: float) -> "GreenValue":
-        return cls(math.exp(log_value), log_value)
+        """Raises ArithmeticError when exp(log_value) overflows a double
+        (log_value above ~709.78)."""
+        return cls(_exp_log_green(log_value), log_value)
+
+
+def _exp_log_green(log_value: float, tau: TauPoint | None = None) -> float:
+    # log G(0, a + b*tau) reaches pi * Im tau / 12 at b = 1/2, so past a
+    # reduced Im tau of ~2700 G no longer fits a double while its log does
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        where = "" if tau is None else f" at reduced Im tau = {reduce_tau(tau)[0].im!r}"
+        raise ArithmeticError(
+            f"G overflows a double: log G = {log_value!r}{where}"
+        ) from None
 
 
 def _log_norm_eta_reduced(red: TauPoint, tol: SeriesTolerance) -> float:
@@ -99,15 +113,15 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     tau is reduced to the fundamental domain and the point's lattice
     coordinates are transported through the same change of marking, so the
     result is an invariant of (torus, point class).  Exactly zero iff the
-    reduced point is (0, 0).
+    reduced point is (0, 0).  Raises ArithmeticError where G itself
+    overflows a double (log G above ~709.78, reduced Im tau of ~2700 or more).
     """
     red, mat = reduce_tau(tau)
     moved = transport_point(z, mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
-    return GreenValue.from_log(
-        _log_green_unreduced(red, float(moved.a), float(moved.b), tol)
-    )
+    log_value = _log_green_unreduced(red, float(moved.a), float(moved.b), tol)
+    return GreenValue(_exp_log_green(log_value, red), log_value)
 
 
 def green_pair(tau: TauPoint, p: TorusPoint, q: TorusPoint,
@@ -142,9 +156,9 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     """prod of G(0, P) over the nonzero n-torsion points (contract: equals n).
 
     Raises ArithmeticError where a theta sum underflows (reduced Im tau
-    of a few hundred or more).
+    of a few hundred or more) or where the product overflows a double.
     """
-    return math.exp(_log_green_sum(tau, n, _torsion_pairs(n), tol))
+    return _exp_log_green(_log_green_sum(tau, n, _torsion_pairs(n), tol), tau)
 
 
 def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -152,11 +166,13 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
 
     Returns (product, predicted) with product = prod_{P in ker, P != 0} G(0, P)
     on the source and predicted = sqrt(N) * ||eta||(target)^2 / ||eta||(source)^2.
-    Raises ArithmeticError where a theta sum underflows, as torsion_product.
+    Raises ArithmeticError where a theta sum underflows or the product
+    overflows a double, as torsion_product (a kernel point at b = 1/2 of a
+    source with reduced Im tau of ~2700 or more overflows).
     """
     n = iso.degree
     pairs = [_torsion_pair(p, n) for p in iso.kernel]
-    product = math.exp(_log_green_sum(iso.source, n, pairs, tol))
+    product = _exp_log_green(_log_green_sum(iso.source, n, pairs, tol), iso.source)
     red_src, _ = reduce_tau(iso.source)
     red_tgt, _ = reduce_tau(iso.target)
     log_ratio = 2.0 * (

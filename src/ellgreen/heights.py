@@ -16,9 +16,9 @@ from .green import _log_green_sum, green  # noqa: F401  perfbench/tests reads he
 from .lattice import (
     TauPoint,
     _exact_order_pairs,
+    _quotient_target,
     _subgroup_pairs,
     cyclic_subgroups,
-    quotient,
 )
 from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
 
@@ -128,8 +128,8 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     delta_drops = []
     for sub in subs:
         green_sums.append(_log_green_sum(tau, n, _subgroup_pairs(sub), tol))
-        iso = quotient(tau, sub)
-        delta_drops.append((log_delta_src - log_norm_delta(iso.target, tol)) / 12.0)
+        target, _ = _quotient_target(tau, sub)
+        delta_drops.append((log_delta_src - log_norm_delta(target, tol)) / 12.0)
     return AverageHeightReport(
         n=n,
         green_average=math.fsum(green_sums) / count,

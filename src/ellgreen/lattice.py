@@ -362,13 +362,8 @@ def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
     )
 
 
-def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
-    """The isogeny from C/(Z + tau*Z) to its quotient by a cyclic subgroup.
-
-    The superlattice Z + tau*Z + Z*(u + v*tau)/N is put on an oriented
-    two-generator basis by integer column reduction; the target is the
-    reduced tau of that basis and `scale` normalises accordingly.
-    """
+def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex]:
+    # (target, scale) of the quotient by sub; see quotient
     n, u, v = sub.order, sub.u, sub.v
     h, s, _ = _egcd(v, n)  # h = gcd(v, n); s*v = h (mod n)
     assert 1 <= h <= n
@@ -379,11 +374,21 @@ def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
     raw = complex(h * x0, 0) / n + (h * h / n) * tau.z
     target, mat = reduce_tau(TauPoint.from_complex(raw))
     (_, _), (mc, md) = mat
-    scale = 1.0 / (omega1 * (mc * raw + md))
+    return target, 1.0 / (omega1 * (mc * raw + md))
+
+
+def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
+    """The isogeny from C/(Z + tau*Z) to its quotient by a cyclic subgroup.
+
+    The superlattice Z + tau*Z + Z*(u + v*tau)/N is put on an oriented
+    two-generator basis by integer column reduction; the target is the
+    reduced tau of that basis and `scale` normalises accordingly.
+    """
+    target, scale = _quotient_target(tau, sub)
     return Isogeny(
         source=tau,
         target=target,
-        degree=n,
+        degree=sub.order,
         kernel=tuple(subgroup_points(sub)),
         scale=scale,
     )

@@ -17,7 +17,7 @@ CRITERIA = {
     6: "exact-order log-Green sums and their closed form, < 1e-8 / 1e-12",
     7: "Thomae and discriminant relations on the tau grid, < 1e-9",
     8: "two-torsion Green values vs root formulas, < 1e-8 / 1e-9",
-    9: "log-Green mean quadrature at 512x512, < 1e-3 and decreasing",
+    9: "log-Green mean by Richardson 16/32, < 1e-11; midpoint error ratio 1/4, < 1e-3",
     10: "adjunction limit matches the closed-form norm, < 1e-6",
     11: "period round trip over 50 random curves, < 1e-8; AGM iters <= 30",
     12: "subgroup enumeration vs brute force (N <= 30) and containment (N <= 24)",
@@ -27,7 +27,7 @@ CRITERIA = {
 
 @pytest.fixture(scope="module")
 def results():
-    return run_checks(level="full", seed=7, grid=512)
+    return run_checks(level="full", seed=7)
 
 
 @pytest.mark.parametrize("criterion", sorted(CRITERIA))

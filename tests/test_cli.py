@@ -67,6 +67,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_grid_flag_is_gone(capsys):
+    # verify has no grid to choose: criterion 9 runs at the fixed 16/32 pair
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid", "512", "verify"])
+    assert exc.value.code == 2
+
+
 def test_bad_tol_rejected(capsys):
     code, _, err = run_cli(capsys, "--tol", "2.0", "invariants", "--tau", "0+1i")
     assert code == 2

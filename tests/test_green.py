@@ -118,6 +118,20 @@ def test_torsion_product_raises_when_theta_underflows():
         torsion_product(TauPoint(0.0, 1000.0), 2)
 
 
+def test_overflowing_green_raises_a_named_error():
+    # log G(0, tau/2) = pi * Im tau / 12 passes log(max double) ~ 709.78 near
+    # Im tau = 2711; the error must name log G and the reduced Im tau rather
+    # than be a bare "math range error"
+    tau = TauPoint(0.0, 3000.0)
+    named = r"log G = 785\.39.* at reduced Im tau = 3000\.0"
+    with pytest.raises(ArithmeticError, match=named):
+        green(tau, TorusPoint(0, Fraction(1, 2)))
+    with pytest.raises(ArithmeticError, match=named):
+        energy(quotient(tau, CyclicSubgroup(2, 0, 1)))
+    with pytest.raises(ArithmeticError, match=r"log G = 710\.0"):
+        GreenValue.from_log(710.0)
+
+
 # ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------

@@ -222,10 +222,12 @@ def test_kernel_sums_equal_per_point_loop(tau, n):
     # results must be equal, not merely close
     assert torsion_product(tau, n) == math.exp(per_point_log_sum(tau, mult_by_n_kernel(n)))
     assert exact_order_log_green(tau, n) == per_point_log_sum(tau, exact_order_points(n))
-    sums = []
+    sums, drops = [], []
     for sub in cyclic_subgroups(n):
         iso = quotient(tau, sub)
         assert energy(iso)[0] == math.exp(per_point_log_sum(tau, iso.kernel))
         sums.append(per_point_log_sum(tau, subgroup_points(sub)))
+        drops.append((log_norm_delta(tau) - log_norm_delta(iso.target)) / 12.0)
     report = average_green_over_cyclic(tau, n)
     assert report.green_average == math.fsum(sums) / len(sums)
+    assert report.delta_average == math.fsum(drops) / len(drops)

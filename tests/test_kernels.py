@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from ellgreen import _kernels
 from ellgreen.lattice import TauPoint
@@ -15,20 +14,10 @@ def test_numpy_kernel_matches_scalar_path():
     tau = TauPoint(0.13, 1.32)
     c, d = _grid(200)
     half = gaussian_half_width(tau.im, DEFAULT_TOL.rel_tol)
-    batch = _kernels.log_abs_theta_shifted_numpy(c, d, tau.re, tau.im, half)
+    batch = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half)
     for i in range(c.shape[0]):
         scalar = log_abs_theta_shifted(float(c[i]), float(d[i]), tau)
         assert abs(batch[i] - scalar) < 1e-10
-
-
-@pytest.mark.skipif(_kernels.ACTIVE_IMPL != "numba", reason="numba path not active")
-def test_numba_kernel_matches_numpy_kernel():
-    for tau in (TauPoint(0.13, 1.32), TauPoint(-0.4, 0.9), TauPoint(0.0, 3.0)):
-        c, d = _grid(4096, seed=3)
-        half = gaussian_half_width(tau.im, DEFAULT_TOL.rel_tol)
-        a = _kernels.log_abs_theta_shifted_numpy(c, d, tau.re, tau.im, half)
-        b = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half)
-        assert np.max(np.abs(a - b)) < 1e-11
 
 
 def test_kernel_window_is_wide_enough():
@@ -36,19 +25,6 @@ def test_kernel_window_is_wide_enough():
     tau = TauPoint(0.2, 1.1)
     c, d = _grid(500, seed=5)
     half = gaussian_half_width(tau.im, DEFAULT_TOL.rel_tol)
-    a = _kernels.log_abs_theta_shifted_numpy(c, d, tau.re, tau.im, half)
-    b = _kernels.log_abs_theta_shifted_numpy(c, d, tau.re, tau.im, half + 4)
+    a = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half)
+    b = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half + 4)
     assert np.max(np.abs(a - b)) < 1e-11
-
-
-def test_disable_flag_is_respected(monkeypatch):
-    import importlib
-
-    monkeypatch.setenv("ELLGREEN_DISABLE_NUMBA", "1")
-    fresh = importlib.reload(_kernels)
-    try:
-        assert fresh.ACTIVE_IMPL == "numpy"
-        assert fresh.log_abs_theta_shifted_grid is fresh.log_abs_theta_shifted_numpy
-    finally:
-        monkeypatch.delenv("ELLGREEN_DISABLE_NUMBA")
-        importlib.reload(_kernels)
