@@ -29,6 +29,7 @@ from .modular import (
     gaussian_half_width,
     invariants,
     log_abs_theta_shifted,
+    log_norm_eta,
     _log_abs_eta,
 )
 
@@ -70,10 +71,6 @@ def _exp_log_green(log_value: float, tau: TauPoint | None = None) -> float:
         raise ArithmeticError(
             f"G overflows a double: log G = {log_value!r}{where}"
         ) from None
-
-
-def _log_norm_eta_reduced(red: TauPoint, tol: SeriesTolerance) -> float:
-    return 0.25 * math.log(red.im) + _log_abs_eta(red, tol)
 
 
 def _log_green_unreduced(tau: TauPoint, a: float, b: float,
@@ -173,11 +170,7 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     n = iso.degree
     pairs = [_torsion_pair(p, n) for p in iso.kernel]
     product = _exp_log_green(_log_green_sum(iso.source, n, pairs, tol), iso.source)
-    red_src, _ = reduce_tau(iso.source)
-    red_tgt, _ = reduce_tau(iso.target)
-    log_ratio = 2.0 * (
-        _log_norm_eta_reduced(red_tgt, tol) - _log_norm_eta_reduced(red_src, tol)
-    )
+    log_ratio = 2.0 * (log_norm_eta(iso.target, tol) - log_norm_eta(iso.source, tol))
     predicted = math.sqrt(iso.degree) * math.exp(log_ratio)
     return product, predicted
 
@@ -199,7 +192,7 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     sqrt(Im tau) must equal the omega_norm invariant.
     """
     red, _ = reduce_tau(tau)
-    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * _log_norm_eta_reduced(red, tol)))
+    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * log_norm_eta(red, tol)))
 
     def ratio(t: float) -> float:
         zc = t * direction

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SeriesConvergenceError
@@ -106,18 +107,20 @@ def theta_dz(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> c
 # Eta and the discriminant
 # ---------------------------------------------------------------------------
 
-def _eta_product(tau: TauPoint, tol: SeriesTolerance, power: int) -> complex:
+def _log_eta_product(tau: TauPoint, tol: SeriesTolerance) -> complex:
+    # sum_k log(1 - q^k) on principal branches: the one product behind eta,
+    # delta and their norms.  The tail of 24 * sum_j |q|^j bounds what the
+    # remaining factors add to log delta, so delta meets rel_tol and eta is
+    # 24 times tighter.
     q = cmath.exp(2j * _PI * tau.z)
     aq = abs(q)
-    prod = 1.0 + 0j
+    total = 0j
     qk = 1.0 + 0j
-    for k in range(1, tol.max_terms + 1):
+    for _ in range(tol.max_terms):
         qk *= q
-        factor = 1.0 - qk
-        prod *= factor if power == 1 else factor ** power
-        # tail of sum_j |q|^j bounds the remaining log-product
-        if power * abs(qk) * aq < tol.rel_tol * (1.0 - aq):
-            return prod
+        total += cmath.log(1.0 - qk)
+        if 24.0 * abs(qk) * aq < tol.rel_tol * (1.0 - aq):
+            return total
     raise SeriesConvergenceError(
         f"eta product did not converge within {tol.max_terms} factors "
         f"(|q| = {aq}; reduce tau first)"
@@ -126,33 +129,18 @@ def _eta_product(tau: TauPoint, tol: SeriesTolerance, power: int) -> complex:
 
 def eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Dedekind eta, q^(1/24) * prod (1 - q^k), principal branch of q^(1/24)."""
-    return cmath.exp(2j * _PI * tau.z / 24.0) * _eta_product(tau, tol, power=1)
+    return cmath.exp(2j * _PI * tau.z / 24.0 + _log_eta_product(tau, tol))
 
 
 def delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """The weight-12 cusp form q * prod (1 - q^k)^24.
-
-    Computed by its own product rather than as eta^24, so a single rounding
-    chain sets the error.
-    """
-    q = cmath.exp(2j * _PI * tau.z)
-    return q * _eta_product(tau, tol, power=24)
+    """The weight-12 cusp form q * prod (1 - q^k)^24 = eta^24, from the same
+    log-domain product as eta."""
+    return cmath.exp(2j * _PI * tau.z + 24.0 * _log_eta_product(tau, tol))
 
 
 def _log_abs_eta(tau: TauPoint, tol: SeriesTolerance) -> float:
     # log|eta(tau)| computed additively; immune to under/overflow of |q|^(1/24).
-    q = cmath.exp(2j * _PI * tau.z)
-    aq = abs(q)
-    total = -_PI * tau.im / 12.0
-    qk = 1.0 + 0j
-    for k in range(1, tol.max_terms + 1):
-        qk *= q
-        total += math.log(abs(1.0 - qk))
-        if abs(qk) * aq < tol.rel_tol * (1.0 - aq):
-            return total
-    raise SeriesConvergenceError(
-        f"eta product did not converge within {tol.max_terms} factors"
-    )
+    return -_PI * tau.im / 12.0 + _log_eta_product(tau, tol).real
 
 
 def log_norm_eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
@@ -165,21 +153,8 @@ def log_norm_eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 
 
 def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """log of (Im tau)^6 |delta(tau)|, via the degree-24 product."""
-    red, _ = reduce_tau(tau)
-    q_abs_log = -_TWO_PI * red.im
-    total = 6.0 * math.log(red.im) + q_abs_log
-    q = cmath.exp(2j * _PI * red.z)
-    aq = abs(q)
-    qk = 1.0 + 0j
-    for k in range(1, tol.max_terms + 1):
-        qk *= q
-        total += 24.0 * math.log(abs(1.0 - qk))
-        if 24.0 * abs(qk) * aq < tol.rel_tol * (1.0 - aq):
-            return total
-    raise SeriesConvergenceError(
-        f"delta product did not converge within {tol.max_terms} factors"
-    )
+    """log of (Im tau)^6 |delta(tau)| = 24 * log_norm_eta."""
+    return 24.0 * log_norm_eta(tau, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +238,21 @@ class SurfaceInvariants:
 
 
 def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInvariants:
-    """Compute the invariant norms; tau is reduced internally, eta and delta
-    are summed by independent products."""
-    red, _ = reduce_tau(tau)
-    ne = red.im ** 0.25 * abs(eta(red, tol))
-    nd = red.im ** 6 * abs(delta(red, tol))
+    """Compute the invariant norms from one log_norm_eta; tau is reduced
+    internally.
+
+    Raises ArithmeticError, naming log_norm_delta and its value, where
+    norm_delta = exp(log_norm_delta) is not a normal double (reduced Im tau
+    above ~117); log_norm_delta itself stays finite there.
+    """
+    log_eta = log_norm_eta(tau, tol)
+    log_delta = 24.0 * log_eta
+    nd = math.exp(log_delta)
+    if nd < sys.float_info.min:
+        raise ArithmeticError(
+            f"norm_delta underflows a normal double: log_norm_delta = {log_delta!r}"
+        )
+    ne = math.exp(log_eta)
     return SurfaceInvariants(
         norm_eta=ne,
         norm_delta=nd,

@@ -124,7 +124,7 @@ def _check_torsion_products(taus, n_max, tol) -> list[CheckResult]:
         worst = 0.0
         for n in range(1, n_max + 1):
             worst = max(worst, _rel(torsion_product(tau, n, tol), float(n)))
-        out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-8))
+        out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
 
 
@@ -142,7 +142,7 @@ def _check_energy(taus, n_max, tol) -> list[CheckResult]:
                     worst_a_form,
                     abs(energy_via_a(iso, tol) - predicted) / predicted,
                 )
-        out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-8))
+        out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
     out.append(CheckResult(3, "energy prediction matches differential-norm form",
                            worst_a_form, 1e-12))
     return out
@@ -165,7 +165,7 @@ def _check_projection(rng, instances, tol) -> list[CheckResult]:
             continue  # z fell in the fiber of w; draw again
         done += 1
     return [CheckResult(4, f"Green projection identity, {instances} random isogenies",
-                        worst, 1e-8)]
+                        worst, 1e-10)]
 
 
 def _check_averages(taus, n_max, tol) -> list[CheckResult]:
@@ -201,7 +201,7 @@ def _check_exact_order_sums(taus, m_max, tol) -> list[CheckResult]:
         )
         worst_closed = max(worst_closed, abs(total - math.log(n)))
     return [
-        CheckResult(6, f"exact-order log-Green sums, M<={m_max}", worst, 1e-8),
+        CheckResult(6, f"exact-order log-Green sums, M<={m_max}", worst, 1e-10),
         CheckResult(6, "divisor sums of closed form telescope to log N, N<=60",
                     worst_closed, 1e-12),
     ]
@@ -236,7 +236,7 @@ def _check_two_torsion(taus, tol) -> list[CheckResult]:
                    * green(tau, TorusPoint(Fraction(1, 2), Fraction(1, 2)), tol).value)
         worst_triple = max(worst_triple, _rel(product, 2.0))
     return [
-        CheckResult(8, "two-torsion Green values vs root formulas", worst, 1e-8),
+        CheckResult(8, "two-torsion Green values vs root formulas", worst, 1e-10),
         CheckResult(8, "two-torsion Green product = 2", worst_triple, 1e-9),
     ]
 
@@ -254,7 +254,7 @@ def _check_mean_integral(tol) -> list[CheckResult]:
         fine = green_mean_integral(tau, 32, tol)
         out.append(CheckResult(
             9, f"log-Green mean, Richardson 16/32, tau={label}",
-            abs((4.0 * fine - coarse) / 3.0), 1e-11))
+            abs((4.0 * fine - coarse) / 3.0), 1e-12))
         out.append(CheckResult(
             9, f"midpoint error is c*h^2, tau={label}",
             abs(fine / coarse - 0.25), 1e-3))
@@ -265,7 +265,7 @@ def _check_adjunction(taus, tol) -> list[CheckResult]:
     worst = 0.0
     for tau in taus:
         worst = max(worst, a_invariant_adjunction_check(tau, tol))
-    return [CheckResult(10, "adjunction limit matches closed-form norm", worst, 1e-6)]
+    return [CheckResult(10, "adjunction limit matches closed-form norm", worst, 1e-10)]
 
 
 def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:

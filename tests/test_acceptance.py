@@ -10,15 +10,15 @@ from ellgreen.verify import run_checks
 
 CRITERIA = {
     1: "theta cusp-form identities, residual < 1e-9 on the tau grid",
-    2: "torsion product equals N for N <= 12, relative error < 1e-8",
-    3: "isogeny kernel energy for all cyclic subgroups N <= 12, < 1e-8",
-    4: "Green projection identity on 100 random isogenies, < 1e-8",
+    2: "torsion product equals N for N <= 12, relative error < 1e-10",
+    3: "isogeny kernel energy for all cyclic subgroups N <= 12, < 1e-10",
+    4: "Green projection identity on 100 random isogenies, < 1e-10",
     5: "averaged log-Green and discriminant-drop identities, < 1e-7",
-    6: "exact-order log-Green sums and their closed form, < 1e-8 / 1e-12",
+    6: "exact-order log-Green sums and their closed form, < 1e-10 / 1e-12",
     7: "Thomae and discriminant relations on the tau grid, < 1e-9",
-    8: "two-torsion Green values vs root formulas, < 1e-8 / 1e-9",
-    9: "log-Green mean by Richardson 16/32, < 1e-11; midpoint error ratio 1/4, < 1e-3",
-    10: "adjunction limit matches the closed-form norm, < 1e-6",
+    8: "two-torsion Green values vs root formulas, < 1e-10 / 1e-9",
+    9: "log-Green mean by Richardson 16/32, < 1e-12; midpoint error ratio 1/4, < 1e-3",
+    10: "adjunction limit matches the closed-form norm, < 1e-10",
     11: "period round trip over 50 random curves, < 1e-8; AGM iters <= 30",
     12: "subgroup enumeration vs brute force (N <= 30) and containment (N <= 24)",
     13: "height formula homogeneity (1e-15) and square-lattice spot (1e-10)",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -150,9 +151,24 @@ def test_delta_translation_invariance():
     assert abs(lhs - rhs) / abs(rhs) < 1e-13
 
 
-def test_delta_independent_of_eta_chain():
-    tau = TauPoint(0.0, 2.0)
-    assert abs(delta(tau) - eta(tau) ** 24) / abs(delta(tau)) < 1e-10
+def test_eta_chain_against_mpmath_product():
+    # eta, delta and both log norms share one product; mpmath's q-Pochhammer
+    # (q; q)_inf at 30 digits is the independent reference for all four
+    mp.mp.dps = 30
+    rng = random.Random(11)
+    for _ in range(60):
+        tau = TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2.5))
+        if abs(tau.z) < 1.0:
+            continue
+        t = mp.mpc(tau.re, tau.im)
+        q = mp.exp(2j * mp.pi * t)
+        ref_eta = mp.exp(2j * mp.pi * t / 24) * mp.qp(q)
+        ref_delta = q * mp.qp(q) ** 24
+        ref_log = mp.log(tau.im) / 4 + mp.log(abs(ref_eta))
+        assert abs(eta(tau) - ref_eta) / abs(ref_eta) < 1e-13
+        assert abs(delta(tau) - ref_delta) / abs(ref_delta) < 2e-12
+        assert abs(log_norm_eta(tau) - ref_log) < 1e-13
+        assert abs(log_norm_delta(tau) - 24 * ref_log) < 3e-12
 
 
 def test_truncation_is_tight():
@@ -238,6 +254,13 @@ def test_log_norm_delta_far_in_the_cusp():
     val = log_norm_delta(tau)
     assert math.isfinite(val)
     assert abs(val - (6 * math.log(200.0) - 2 * PI * 200.0)) < 1e-6
+
+
+@pytest.mark.parametrize("im", [130.0, 3000.0])
+def test_invariants_far_in_the_cusp_raise_a_named_error(im):
+    # norm_delta = exp(log_norm_delta) is no longer a normal double here
+    with pytest.raises(ArithmeticError, match="log_norm_delta = -"):
+        invariants(TauPoint(0.0, im))
 
 
 def test_surface_invariants_validated():
