@@ -18,7 +18,7 @@ from .lattice import (
     Isogeny,
     TauPoint,
     TorusPoint,
-    _torsion_pair,
+    _kernel_pairs,
     _torsion_pairs,
     reduce_tau,
     transport_point,
@@ -96,12 +96,17 @@ def _log_green_sum(tau: TauPoint, n: int, pairs: list[tuple[int, int]],
         if a or b:
             c, d = (a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0
             logs.append(log_abs_theta_shifted(c, d, red, tol) - log_eta)
-    total = math.fsum(logs)
-    if total == -math.inf:  # G vanishes only at 0: a theta sum underflowed
+    return _nonzero_log_green(math.fsum(logs), red)
+
+
+def _nonzero_log_green(log_value: float, red: TauPoint) -> float:
+    # G vanishes only at 0, so -inf at a nonzero point is a theta sum that
+    # underflowed (reduced Im tau of a few hundred or more)
+    if log_value == -math.inf:
         raise ArithmeticError(
-            f"theta sum underflowed at a nonzero torsion point (reduced Im tau = {red.im!r})"
+            f"theta sum underflowed at a nonzero point (reduced Im tau = {red.im!r})"
         )
-    return total
+    return log_value
 
 
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
@@ -110,14 +115,18 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     tau is reduced to the fundamental domain and the point's lattice
     coordinates are transported through the same change of marking, so the
     result is an invariant of (torus, point class).  Exactly zero iff the
-    reduced point is (0, 0).  Raises ArithmeticError where G itself
-    overflows a double (log G above ~709.78, reduced Im tau of ~2700 or more).
+    reduced point is (0, 0).  Raises ArithmeticError, naming the reduced
+    Im tau, where the theta sum at a nonzero point underflows (G would read
+    a false 0; from a reduced Im tau of a few hundred, depending on the
+    point) or where G itself overflows a double (log G above ~709.78,
+    reduced Im tau of ~2700 or more).
     """
     red, mat = reduce_tau(tau)
     moved = transport_point(z, mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
-    log_value = _log_green_unreduced(red, float(moved.a), float(moved.b), tol)
+    log_value = _nonzero_log_green(
+        _log_green_unreduced(red, float(moved.a), float(moved.b), tol), red)
     return GreenValue(_exp_log_green(log_value, red), log_value)
 
 
@@ -168,7 +177,7 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     source with reduced Im tau of ~2700 or more overflows).
     """
     n = iso.degree
-    pairs = [_torsion_pair(p, n) for p in iso.kernel]
+    pairs = _kernel_pairs(iso.coordinate_matrix(), n)
     product = _exp_log_green(_log_green_sum(iso.source, n, pairs, tol), iso.source)
     log_ratio = 2.0 * (log_norm_eta(iso.target, tol) - log_norm_eta(iso.source, tol))
     predicted = math.sqrt(iso.degree) * math.exp(log_ratio)

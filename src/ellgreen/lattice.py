@@ -48,9 +48,9 @@ class TauPoint:
 class TorusPoint:
     """A torus point a + b*tau in lattice coordinates, reduced mod 1.
 
-    Coordinates are exact Fractions for torsion points (so kernel sums and
-    equality tests carry no drift) or floats for generic points; integers
-    normalise to Fractions.  The zero point is exactly (0, 0).
+    Coordinates are exact Fractions for torsion points (so equality tests
+    carry no drift) or floats for generic points; integers normalise to
+    Fractions.  The zero point is exactly (0, 0).
     """
 
     a: Coord
@@ -246,11 +246,21 @@ def _torsion_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(n)]
 
 
-def _torsion_pair(p: TorusPoint, n: int) -> tuple[int, int]:
-    i, j = p.a * n, p.b * n
-    if i != int(i) or j != int(j):
-        raise ValueError(f"point {p} is not {n}-torsion")
-    return int(i), int(j)
+def _kernel_pairs(t: IntMatrix, n: int) -> list[tuple[int, int]]:
+    # T.adj(T) = n*I, so the pairs T sends to 0 mod n are the image of adj(T)
+    # mod n: the multiples of its first column, translated by multiples of
+    # its second until a translate repeats.  det T = n gives n pairs, zero first.
+    (t11, t12), (t21, t22) = t
+    line, i, j = [(0, 0)], t22 % n, -t21 % n
+    while (i, j) != (0, 0):
+        line.append((i, j))
+        i, j = (i + t22) % n, (j - t21) % n
+    on_line, pairs, di, dj = set(line), [], 0, 0
+    while True:
+        pairs += [((i + di) % n, (j + dj) % n) for i, j in line]
+        di, dj = (di - t12) % n, (dj + t11) % n
+        if (di, dj) in on_line:
+            return pairs
 
 
 def subgroup_points(sub: CyclicSubgroup) -> list[TorusPoint]:
@@ -274,41 +284,34 @@ class Isogeny:
 
     `scale` carries source lattice coordinates into the normalised target
     torus C/(Z + target*Z); in particular scale*(a + b*source) lands on the
-    target lattice exactly when (a, b) is a kernel point.
+    target lattice exactly when (a, b) is a kernel point.  Raises ValueError
+    when degree < 1 or when scale does not give coordinate_matrix().
     """
 
     source: TauPoint
     target: TauPoint
     degree: int
-    kernel: tuple[TorusPoint, ...]
     scale: complex
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if len(self.kernel) != self.degree:
-            raise ValueError(
-                f"kernel has {len(self.kernel)} points, expected degree {self.degree}"
-            )
-        # also checks that scale maps the source lattice into the target one
-        (t11, t12), (t21, t22) = self.coordinate_matrix()
-        # det T = n, so the kernel of T on (Q/Z)^2 has exactly n points: n
-        # distinct n-torsion points that T sends to the lattice are that whole
-        # subgroup, zero and closure under addition included.
+        self.coordinate_matrix()
+
+    @property
+    def kernel(self) -> tuple[TorusPoint, ...]:
+        """The N points (i/N, j/N) that T = coordinate_matrix() sends to the
+        target lattice, sorted, zero first."""
         n = self.degree
-        pairs = {_torsion_pair(p, n) for p in self.kernel}
-        if len(pairs) != n:
-            raise ValueError("kernel points are not distinct")
-        for i, j in pairs:
-            if (t11 * i + t12 * j) % n or (t21 * i + t22 * j) % n:
-                raise ValueError(
-                    f"scale does not send kernel point ({i}/{n}, {j}/{n}) "
-                    "to the target lattice"
-                )
+        return tuple(_points(n, sorted(_kernel_pairs(self.coordinate_matrix(), n))))
 
     def coordinate_matrix(self) -> IntMatrix:
         """Integer matrix T sending source lattice coordinates to target
-        lattice coordinates, det T = degree."""
+        lattice coordinates, det T = degree.
+
+        Raises ValueError when scale gives a non-integer entry or another
+        determinant.
+        """
         tz = self.target
         cols = []
         for basis in (1.0 + 0.0j, self.source.z):
@@ -320,9 +323,7 @@ class Isogeny:
         t12, t22 = _nearest_int(cols[1][0]), _nearest_int(cols[1][1])
         det = t11 * t22 - t12 * t21
         if det != self.degree:
-            raise AssertionError(
-                f"coordinate map determinant {det} != degree {self.degree}"
-            )
+            raise ValueError(f"coordinate map determinant {det} != degree {self.degree}")
         return ((t11, t12), (t21, t22))
 
     def apply(self, point: TorusPoint) -> TorusPoint:
@@ -345,7 +346,7 @@ class Isogeny:
 def _nearest_int(x: float, tol: float = 1e-6) -> int:
     n = round(x)
     if abs(x - n) > tol:
-        raise AssertionError(f"expected an integer matrix entry, got {x!r}")
+        raise ValueError(f"expected an integer matrix entry, got {x!r}")
     return n
 
 
@@ -353,13 +354,7 @@ def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
     """Multiplication by n as a degree-n^2 isogeny of the torus to itself."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Isogeny(
-        source=tau,
-        target=tau,
-        degree=n * n,
-        kernel=tuple(mult_by_n_kernel(n)),
-        scale=complex(n),
-    )
+    return Isogeny(source=tau, target=tau, degree=n * n, scale=complex(n))
 
 
 def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex]:
@@ -385,10 +380,4 @@ def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
     reduced tau of that basis and `scale` normalises accordingly.
     """
     target, scale = _quotient_target(tau, sub)
-    return Isogeny(
-        source=tau,
-        target=target,
-        degree=sub.order,
-        kernel=tuple(subgroup_points(sub)),
-        scale=scale,
-    )
+    return Isogeny(source=tau, target=target, degree=sub.order, scale=scale)

@@ -127,15 +127,40 @@ def _log_eta_product(tau: TauPoint, tol: SeriesTolerance) -> complex:
     )
 
 
+def _exp_normal(log_value: float, name: str, log_name: str) -> float:
+    # exp(log_value), which must be a normal double: below that it reads as
+    # a subnormal with few digits left or as a silent 0
+    value = math.exp(log_value)
+    if value < sys.float_info.min:
+        raise ArithmeticError(
+            f"{name} underflows a normal double: {log_name} = {log_value!r}"
+        )
+    return value
+
+
 def eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Dedekind eta, q^(1/24) * prod (1 - q^k), principal branch of q^(1/24)."""
-    return cmath.exp(2j * _PI * tau.z / 24.0 + _log_eta_product(tau, tol))
+    """Dedekind eta, q^(1/24) * prod (1 - q^k), principal branch of q^(1/24).
+
+    tau is not reduced.  Raises ArithmeticError, naming log|eta|, where
+    |eta| is not a normal double (Im tau above ~2705); log_norm_eta stays
+    finite there.
+    """
+    log_eta = 2j * _PI * tau.z / 24.0 + _log_eta_product(tau, tol)
+    _exp_normal(log_eta.real, "|eta|", "log|eta|")
+    return cmath.exp(log_eta)
 
 
 def delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """The weight-12 cusp form q * prod (1 - q^k)^24 = eta^24, from the same
-    log-domain product as eta."""
-    return cmath.exp(2j * _PI * tau.z + 24.0 * _log_eta_product(tau, tol))
+    log-domain product as eta.
+
+    tau is not reduced.  Raises ArithmeticError, naming log|delta|, where
+    |delta| is not a normal double (Im tau above ~112.7); log_norm_delta
+    stays finite there.
+    """
+    log_delta = 2j * _PI * tau.z + 24.0 * _log_eta_product(tau, tol)
+    _exp_normal(log_delta.real, "|delta|", "log|delta|")
+    return cmath.exp(log_delta)
 
 
 def _log_abs_eta(tau: TauPoint, tol: SeriesTolerance) -> float:
@@ -247,11 +272,7 @@ def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInva
     """
     log_eta = log_norm_eta(tau, tol)
     log_delta = 24.0 * log_eta
-    nd = math.exp(log_delta)
-    if nd < sys.float_info.min:
-        raise ArithmeticError(
-            f"norm_delta underflows a normal double: log_norm_delta = {log_delta!r}"
-        )
+    nd = _exp_normal(log_delta, "norm_delta", "log_norm_delta")
     ne = math.exp(log_eta)
     return SurfaceInvariants(
         norm_eta=ne,

@@ -34,10 +34,10 @@ from .heights import (
 from .lattice import (
     TauPoint,
     TorusPoint,
+    _subgroup_pairs,
     cyclic_subgroups,
     quotient,
     reduce_tau,
-    subgroup_points,
 )
 from .modular import DEFAULT_TOL, SeriesTolerance, delta, theta, theta_dz
 from .weierstrass import (
@@ -307,22 +307,20 @@ def _check_combinatorics(count_max, contain_max) -> list[CheckResult]:
     for n in range(1, count_max + 1):
         enumerated = cyclic_subgroups(n)
         brute = _brute_force_subgroup_sets(n)
-        sets = {
-            frozenset((int(p.a * n), int(p.b * n)) for p in subgroup_points(sub))
-            for sub in enumerated
-        }
+        sets = {frozenset(_subgroup_pairs(sub)) for sub in enumerated}
         if len(enumerated) != cyclic_subgroup_count(n) or sets != brute:
             mismatches += 1
     contain_bad = 0
     for n in range(1, contain_max + 1):
-        big = [(sub, frozenset(subgroup_points(sub))) for sub in cyclic_subgroups(n)]
+        big = [frozenset(_subgroup_pairs(sub)) for sub in cyclic_subgroups(n)]
         for m in range(1, n + 1):
             if n % m:
                 continue
             expected = cyclic_subgroup_count(n) // cyclic_subgroup_count(m)
             for small in cyclic_subgroups(m):
-                spts = set(subgroup_points(small))
-                hits = sum(1 for _, pts in big if spts <= pts)
+                # the order-m pair (i, j) is the order-n pair (i*n/m, j*n/m)
+                spts = {(i * (n // m), j * (n // m)) for i, j in _subgroup_pairs(small)}
+                hits = sum(1 for pts in big if spts <= pts)
                 if hits != expected:
                     contain_bad += 1
     return [

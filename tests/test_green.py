@@ -118,6 +118,15 @@ def test_torsion_product_raises_when_theta_underflows():
         torsion_product(TauPoint(0.0, 1000.0), 2)
 
 
+def test_green_raises_when_theta_underflows_at_a_nonzero_point():
+    # the theta sum at (0.3, 0) underflows from Im tau ~ 475 on; G is never
+    # 0 off the lattice, so green must raise rather than return 0 / -inf
+    near = green(TauPoint(0.1, 474.0), TorusPoint(0.3, 0))
+    assert math.isfinite(near.log_value) and near.log_value < -200.0
+    with pytest.raises(ArithmeticError, match="reduced Im tau = 475.0"):
+        green(TauPoint(0.1, 475.0), TorusPoint(0.3, 0))
+
+
 def test_overflowing_green_raises_a_named_error():
     # log G(0, tau/2) = pi * Im tau / 12 passes log(max double) ~ 709.78 near
     # Im tau = 2711; the error must name log G and the reduced Im tau rather

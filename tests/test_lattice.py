@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -313,22 +312,23 @@ def test_isogeny_rejects_inconsistent_scale():
     from ellgreen.lattice import Isogeny
 
     tau = TauPoint(0.0, 1.0)
-    with pytest.raises((ValueError, AssertionError)):
-        Isogeny(source=tau, target=tau, degree=1,
-                kernel=(TorusPoint(0, 0),), scale=1.3 + 0.2j)
+    with pytest.raises(ValueError, match="integer matrix entry"):
+        Isogeny(source=tau, target=tau, degree=1, scale=1.3 + 0.2j)
+    with pytest.raises(ValueError, match="determinant 1 != degree 2"):
+        Isogeny(source=tau, target=tau, degree=2, scale=1.0)
 
 
-def test_isogeny_rejects_kernel_not_sent_to_target_lattice():
-    iso = quotient(TauPoint(0.0, 1.0), CyclicSubgroup(2, 1, 0))
-    half = Fraction(1, 2)
-    # the other order-2 subgroup: 2-torsion, but scale moves it off the lattice
-    with pytest.raises(ValueError, match="target lattice"):
-        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(0, half)))
-    with pytest.raises(ValueError, match="torsion"):
-        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(Fraction(1, 4), 0)))
-    with pytest.raises(ValueError, match="distinct"):
-        dataclasses.replace(iso, kernel=(TorusPoint(0, 0), TorusPoint(0, 0)))
-    dataclasses.replace(iso, kernel=iso.kernel[::-1])  # any order is accepted
+@pytest.mark.parametrize("tau", [TauPoint(0.21, 1.73), TauPoint(0.73, 0.11)],
+                         ids=["reduced", "unreduced"])
+def test_isogeny_kernel_is_derived_from_its_matrix(tau):
+    for n in range(1, 31):
+        for sub in cyclic_subgroups(n):
+            kernel = quotient(tau, sub).kernel
+            assert len(set(kernel)) == n
+            assert set(kernel) == set(subgroup_points(sub))
+            assert kernel[0].is_zero
+    for n in range(1, 7):
+        assert set(multiplication_isogeny(tau, n).kernel) == set(mult_by_n_kernel(n))
 
 
 def test_quotient_targets_satisfy_modular_polynomial(rng):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -261,6 +262,15 @@ def test_invariants_far_in_the_cusp_raise_a_named_error(im):
     # norm_delta = exp(log_norm_delta) is no longer a normal double here
     with pytest.raises(ArithmeticError, match="log_norm_delta = -"):
         invariants(TauPoint(0.0, im))
+
+
+@pytest.mark.parametrize("fn,im,log_name", [(delta, 113.0, "log|delta|"),
+                                             (delta, 120.0, "log|delta|"),
+                                             (eta, 2800.0, "log|eta|")])
+def test_eta_and_delta_raise_instead_of_a_silent_zero(fn, im, log_name):
+    # |delta| and |eta| are subnormal or 0 here; tau is not reduced
+    with pytest.raises(ArithmeticError, match=f"{re.escape(log_name)} = -"):
+        fn(TauPoint(0.0, im))
 
 
 def test_surface_invariants_validated():
