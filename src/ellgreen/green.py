@@ -26,11 +26,14 @@ from .lattice import (
 from .modular import (
     DEFAULT_TOL,
     SeriesTolerance,
-    gaussian_half_width,
     invariants,
     log_abs_theta_shifted,
     log_norm_eta,
+    _exp_normal,
     _log_abs_eta,
+    _phase,
+    _row,
+    _weight_row,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -56,21 +59,20 @@ class GreenValue:
 
     @classmethod
     def from_log(cls, log_value: float) -> "GreenValue":
-        """Raises ArithmeticError when exp(log_value) overflows a double
-        (log_value above ~709.78)."""
+        """Raises ArithmeticError when exp(log_value) is not a normal double
+        (log_value above ~709.78 or below ~-708.40)."""
         return cls(_exp_log_green(log_value), log_value)
 
 
 def _exp_log_green(log_value: float, tau: TauPoint | None = None) -> float:
-    # log G(0, a + b*tau) reaches pi * Im tau / 12 at b = 1/2, so past a
-    # reduced Im tau of ~2700 G no longer fits a double while its log does
+    # log G(0, a + b*tau) runs from about -pi*Im(tau)/6 at b = 0 to pi*Im(tau)/12
+    # at b = 1/2, so G may leave the normal doubles while its log does not
     try:
-        return math.exp(log_value)
-    except OverflowError:
-        where = "" if tau is None else f" at reduced Im tau = {reduce_tau(tau)[0].im!r}"
-        raise ArithmeticError(
-            f"G overflows a double: log G = {log_value!r}{where}"
-        ) from None
+        return _exp_normal(log_value, "G", "log G")
+    except ArithmeticError as exc:
+        if tau is None:
+            raise
+        raise ArithmeticError(f"{exc} at reduced Im tau = {reduce_tau(tau)[0].im!r}") from None
 
 
 def _log_green_unreduced(tau: TauPoint, a: float, b: float,
@@ -79,7 +81,7 @@ def _log_green_unreduced(tau: TauPoint, a: float, b: float,
     # The (Im tau)^(1/4) factors of ||theta|| and ||eta|| cancel.
     c = (a + 0.5) % 1.0
     d = (b + 0.5) % 1.0
-    return log_abs_theta_shifted(c, d, tau, tol) - _log_abs_eta(tau, tol)
+    return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase(c), tau) - _log_abs_eta(tau, tol)
 
 
 def _log_green_sum(tau: TauPoint, n: int, pairs: list[tuple[int, int]],
@@ -87,26 +89,21 @@ def _log_green_sum(tau: TauPoint, n: int, pairs: list[tuple[int, int]],
     # Sum of log G(0, (i + j*tau)/n) over the nonzero pairs (i, j) mod n.
     # tau is reduced and log|eta| computed once for the whole sum; each pair
     # moves through the reduction matrix in integers, and i/n rounds as
-    # float(Fraction(i, n)) does, so every term equals green(...).log_value.
+    # float(Fraction(i, n)) does.  One weight row per distinct b and one phase
+    # per distinct a, built as green() builds them: every term equals green's.
     red, ((ma, mb), (mc, md)) = reduce_tau(tau)
     log_eta = _log_abs_eta(red, tol)
+    weights, phases = {}, {}
     logs = []
     for i, j in pairs:
         a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
         if a or b:
-            c, d = (a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0
-            logs.append(log_abs_theta_shifted(c, d, red, tol) - log_eta)
-    return _nonzero_log_green(math.fsum(logs), red)
-
-
-def _nonzero_log_green(log_value: float, red: TauPoint) -> float:
-    # G vanishes only at 0, so -inf at a nonzero point is a theta sum that
-    # underflowed (reduced Im tau of a few hundred or more)
-    if log_value == -math.inf:
-        raise ArithmeticError(
-            f"theta sum underflowed at a nonzero point (reduced Im tau = {red.im!r})"
-        )
-    return log_value
+            if b not in weights:
+                weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
+            if a not in phases:
+                phases[a] = _phase((a / n + 0.5) % 1.0)
+            logs.append(log_abs_theta_shifted(weights[b], phases[a], red) - log_eta)
+    return math.fsum(logs)
 
 
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
@@ -115,18 +112,20 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     tau is reduced to the fundamental domain and the point's lattice
     coordinates are transported through the same change of marking, so the
     result is an invariant of (torus, point class).  Exactly zero iff the
-    reduced point is (0, 0).  Raises ArithmeticError, naming the reduced
-    Im tau, where the theta sum at a nonzero point underflows (G would read
-    a false 0; from a reduced Im tau of a few hundred, depending on the
-    point) or where G itself overflows a double (log G above ~709.78,
-    reduced Im tau of ~2700 or more).
+    reduced point is (0, 0).  log G is right at any reduced Im tau.
+
+    Raises ArithmeticError, naming log G and the reduced Im tau, where G is
+    not a normal double: log G below ~-708.40 (from a reduced Im tau of
+    ~1350, near b = 0) or above ~709.78 (from ~2700, near b = 1/2).  Near
+    the origin G has relative accuracy about 1e-16/|z| (|z| in lattice
+    coordinates); within a few rounding errors of it no digit survives and
+    it raises ArithmeticError instead of returning noise.
     """
     red, mat = reduce_tau(tau)
     moved = transport_point(z, mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
-    log_value = _nonzero_log_green(
-        _log_green_unreduced(red, float(moved.a), float(moved.b), tol), red)
+    log_value = _log_green_unreduced(red, float(moved.a), float(moved.b), tol)
     return GreenValue(_exp_log_green(log_value, red), log_value)
 
 
@@ -161,8 +160,8 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
 def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """prod of G(0, P) over the nonzero n-torsion points (contract: equals n).
 
-    Raises ArithmeticError where a theta sum underflows (reduced Im tau
-    of a few hundred or more) or where the product overflows a double.
+    Summed as logs, so single values of G may lie outside a double.  Raises
+    ArithmeticError, as green, where the product is not a normal double.
     """
     return _exp_log_green(_log_green_sum(tau, n, _torsion_pairs(n), tol), tau)
 
@@ -172,9 +171,9 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
 
     Returns (product, predicted) with product = prod_{P in ker, P != 0} G(0, P)
     on the source and predicted = sqrt(N) * ||eta||(target)^2 / ||eta||(source)^2.
-    Raises ArithmeticError where a theta sum underflows or the product
-    overflows a double, as torsion_product (a kernel point at b = 1/2 of a
-    source with reduced Im tau of ~2700 or more overflows).
+    Raises ArithmeticError, as torsion_product, where the product is not a
+    normal double (kernel points at b = 1/2 overflow it from a reduced source
+    Im tau of ~2700, points at b = 0 can underflow it from ~1350).
     """
     n = iso.degree
     pairs = _kernel_pairs(iso.coordinate_matrix(), n)
@@ -229,12 +228,14 @@ def green_mean_integral(tau: TauPoint, grid: int,
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
     red, _ = reduce_tau(tau)
-    mid = (np.arange(grid, dtype=np.float64) + 0.5) / grid
-    shifted = (mid + 0.5) % 1.0
-    c = np.repeat(shifted, grid)
-    d = np.tile(shifted, grid)
-    half = gaussian_half_width(red.im, tol.rel_tol)
-    log_s = _kernels.log_abs_theta_shifted_grid(c, d, red.re, red.im, half)
+    shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
+    rows = [_weight_row(d, red, tol) for d in shifted]
+    half = rows[0][5]
+    weights = [_row(w_low, w_high, q, half) for _, _, w_low, w_high, q, _ in rows]
+    phases = [_row(e.conjugate(), e, 1.0, half) for e in map(_phase, shifted)]
+    log_sums = _kernels.log_abs_theta_shifted_grid(np.array(weights), np.array(phases))
+    # each d's dominant log -pi*Im(tau)*m0^2 recurs once per c
+    leads = math.fsum(-math.pi * red.im * row[1] ** 2 for row in rows)
+    total = math.fsum(log_sums.ravel().tolist()) + grid * leads
     log_eta = _log_abs_eta(red, tol)  # the (Im tau)^(1/4) factors cancel
-    total = math.fsum(log_s.tolist())
     return total / (grid * grid) - log_eta

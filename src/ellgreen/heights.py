@@ -81,7 +81,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
                           tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
-    Raises ArithmeticError where a theta sum underflows, as torsion_product."""
+    Summed as logs, so it is finite at any reduced Im tau."""
     return _log_green_sum(tau, m, _exact_order_pairs(m), tol)
 
 
@@ -119,8 +119,8 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
                               tol: SeriesTolerance = DEFAULT_TOL) -> AverageHeightReport:
     """Average, over all cyclic order-n subgroups, of the summed log-Green
     values over nonzero subgroup points, together with the discriminant-norm
-    route through the quotient tori.  Raises ArithmeticError where a theta
-    sum underflows, as torsion_product."""
+    route through the quotient tori.  Both are sums of logs, finite at any
+    reduced Im tau."""
     subs = cyclic_subgroups(n)
     count = len(subs)
     log_delta_src = log_norm_delta(tau, tol)

@@ -1,9 +1,10 @@
 """Series kernels: Riemann theta, Dedekind eta, the modular discriminant,
 and their normalised (lattice-invariant) versions.
 
-All q-series are truncated adaptively against a relative tolerance.  The
-normalised theta uses a shifted-Gaussian form of the series whose terms are
-bounded by 1, so it never overflows regardless of the point or of Im tau.
+All q-series are truncated adaptively against a relative tolerance.  Every
+theta value comes from one shifted sum, a weight row times a phase row with
+its dominant term taken out as a log, so its terms are bounded by 1 and it
+neither overflows nor underflows whatever the point or Im tau.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, TorusPoint, reduce_tau
@@ -35,72 +37,6 @@ class SeriesTolerance:
 
 
 DEFAULT_TOL = SeriesTolerance()
-
-
-# ---------------------------------------------------------------------------
-# Riemann theta and its z-derivative
-# ---------------------------------------------------------------------------
-
-def _split_z(z: complex, tau: TauPoint) -> tuple[complex, int]:
-    # z = z0 + p*tau + s with z0 = a + b*tau, a, b in [0, 1); only p matters
-    # for the quasi-periodicity factor.
-    b = z.imag / tau.im
-    p = math.floor(b)
-    z0 = z - p * tau.z
-    a = z0.real - (b - p) * tau.re
-    z0 -= math.floor(a)
-    return z0, p
-
-
-def _theta_sum(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> complex:
-    y = abs(z.imag)
-    im = tau.im
-    total = 0j if deriv else 1.0 + 0j
-    peak = y / im  # the term bound grows until n passes this index
-    k_cap = (tol.max_terms - 1) // 2
-    for k in range(1, k_cap + 1):
-        e_plus = cmath.exp(1j * _PI * k * k * tau.z + 2j * _PI * k * z)
-        e_minus = cmath.exp(1j * _PI * k * k * tau.z - 2j * _PI * k * z)
-        if deriv:
-            total += 2j * _PI * k * (e_plus - e_minus)
-        else:
-            total += e_plus + e_minus
-        nxt = k + 1
-        bound = math.exp(-_PI * im * nxt * nxt + _TWO_PI * y * nxt)
-        if deriv:
-            bound *= _TWO_PI * nxt
-        if nxt > peak and bound < tol.rel_tol * max(abs(total), 1e-300):
-            return total
-    raise SeriesConvergenceError(
-        f"theta series did not reach rel_tol={tol.rel_tol} within "
-        f"{tol.max_terms} terms (Im tau = {im}; reduce tau first)"
-    )
-
-
-def theta(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Riemann's theta function sum_n exp(pi*i*n^2*tau + 2*pi*i*n*z).
-
-    The argument is shifted to the fundamental cell internally and the
-    quasi-periodicity factor applied analytically, so large Im z cannot
-    overflow the series itself.
-    """
-    z = complex(z)
-    z0, p = _split_z(z, tau)
-    value = _theta_sum(z0, tau, tol, deriv=False)
-    if p != 0:
-        value *= cmath.exp(-1j * _PI * p * p * tau.z - 2j * _PI * p * z0)
-    return value
-
-
-def theta_dz(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """d(theta)/dz, by termwise differentiation of the series."""
-    z = complex(z)
-    z0, p = _split_z(z, tau)
-    dval = _theta_sum(z0, tau, tol, deriv=True)
-    if p != 0:
-        factor = cmath.exp(-1j * _PI * p * p * tau.z - 2j * _PI * p * z0)
-        dval = factor * (dval - 2j * _PI * p * _theta_sum(z0, tau, tol, deriv=False))
-    return dval
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +66,13 @@ def _log_eta_product(tau: TauPoint, tol: SeriesTolerance) -> complex:
 def _exp_normal(log_value: float, name: str, log_name: str) -> float:
     # exp(log_value), which must be a normal double: below that it reads as
     # a subnormal with few digits left or as a silent 0
-    value = math.exp(log_value)
-    if value < sys.float_info.min:
-        raise ArithmeticError(
-            f"{name} underflows a normal double: {log_name} = {log_value!r}"
-        )
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        kind = "overflows a double" if value == math.inf else "underflows a normal double"
+        raise ArithmeticError(f"{name} {kind}: {log_name} = {log_value!r}")
     return value
 
 
@@ -183,58 +121,145 @@ def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Normalised theta
+# The shifted theta sum: theta, theta', ||theta|| and G all come from it
 # ---------------------------------------------------------------------------
+#
+# S(c, d) = sum_n exp(pi*i*tau*(n+d)^2 + 2*pi*i*n*c) = exp(pi*i*tau*d^2) *
+# theta(c + d*tau).  With n = n0 + k, n0 = round(-d), m0 = n0 + d, S is its
+# dominant term exp(pi*i*tau*m0^2 + 2*pi*i*n0*c) times the scaled sum of
+# w_k * e^k over |k| <= K: the weights w_k = exp(pi*i*tau*k*(2*m0 + k))
+# depend on d only, the phases (e = exp(2*pi*i*c)) on c only.  |w_k| <= 1 =
+# w_0, so the scaled sum is of order 1 at any Im tau, and small only near a
+# zero of theta.  w_(k+1) / w_k = w_1 * q^k with q = exp(2*pi*i*tau) (and
+# alike from w_-1), so rows are running products, no exponential per term.
 
+_SUM_FLOOR = 4.0 * sys.float_info.epsilon  # a few rounding errors of order-1 terms
+_WeightRow = tuple[int, float, complex, complex, complex, int]  # (n0, m0, w_-1, w_1, q, K)
+
+
+@lru_cache(maxsize=256)
 def gaussian_half_width(tau_im: float, rel_tol: float) -> int:
     """Half-width K of the index window needed by the shifted theta sum:
     exp(-pi * Im(tau) * K^2) < rel_tol."""
     return math.ceil(math.sqrt(max(math.log(1.0 / rel_tol), 1.0) / (_PI * tau_im))) + 1
 
 
-def log_abs_theta_shifted(c: float, d: float, tau: TauPoint,
-                          tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """log | exp(-pi*Im(tau)*d^2) * theta(c + d*tau; tau) |  for c, d in [0, 1).
+def _row(left: complex, right: complex, ratio: complex, half: int) -> list[complex]:
+    # [x_-K, ..., x_K] with x_0 = 1 and x_(+-(k+1)) = x_(+-k) * first *
+    # ratio^k, first = left or right; factors of modulus <= 1 never overflow
+    lows, highs = [left], [right]
+    for _ in range(half - 1):
+        left *= ratio
+        right *= ratio
+        lows.append(lows[-1] * left)
+        highs.append(highs[-1] * right)
+    return lows[::-1] + [1.0 + 0j] + highs
 
-    Every term of the rewritten series has modulus exp(-pi*Im(tau)*(n+d)^2),
-    so the sum is overflow-free for any Im tau.  Returns -inf at an exact
-    zero of theta.
-    """
-    im, re = tau.im, tau.re
-    half = gaussian_half_width(im, tol.rel_tol)
+
+def _scaled_sum(terms: list[complex]) -> complex:
+    # the centre term 1 goes last, after the smaller ones, so the sum rounds
+    # once at its own scale
+    half = len(terms) // 2
+    return 1.0 + (sum(terms[:half]) + sum(terms[half + 1:]))
+
+
+def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
+    # the weight row of d; the only place that sizes the window
+    half = gaussian_half_width(tau.im, tol.rel_tol)
     if 2 * half + 2 > tol.max_terms:
-        raise SeriesConvergenceError(
-            f"shifted theta sum needs {2 * half + 2} terms > max_terms="
-            f"{tol.max_terms} (Im tau = {im}; reduce tau first)"
-        )
+        raise SeriesConvergenceError(f"shifted theta sum needs {2 * half + 2} terms > max_terms="
+                                     f"{tol.max_terms} (Im tau = {tau.im}; reduce tau first)")
     n0 = round(-d)
-    sre = 0.0
-    sim = 0.0
-    for n in range(n0 - half, n0 + half + 1):
-        m = n + d
-        amp = math.exp(-_PI * im * m * m)
-        phi = _PI * re * m * m + _TWO_PI * n * c
-        sre += amp * math.cos(phi)
-        sim += amp * math.sin(phi)
-    h = sre * sre + sim * sim
-    if h == 0.0:
-        return -math.inf
-    return 0.5 * math.log(h)
+    m0 = n0 + d
+    t = 1j * _PI * tau.z
+    return (n0, m0, cmath.exp(t * (1.0 - 2.0 * m0)), cmath.exp(t * (1.0 + 2.0 * m0)),
+            cmath.exp(2.0 * t), half)
+
+
+def _phase(c: float) -> complex:
+    return cmath.exp(2j * _PI * c)
+
+
+def _terms(row: _WeightRow, e: complex) -> list[complex]:
+    # [w_-K * e^-K, ..., w_K * e^K] for the weight row of d and the phase e of c
+    _, _, w_low, w_high, q, half = row
+    return _row(w_low * e.conjugate(), w_high * e, q, half)
+
+
+def log_abs_theta_shifted(row: _WeightRow, e: complex, tau: TauPoint) -> float:
+    """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
+    the weight row of d (`_weight_row`) and the phase e = exp(2*pi*i*c).
+
+    The dominant term's modulus exp(-pi*Im(tau)*m0^2) enters as a log, so
+    nothing under- or overflows at any Im tau.  Raises ArithmeticError where
+    the scaled sum is within a few rounding errors of 0 (c + d*tau within
+    about 1e-16 of a zero of theta): no digit of the log survives there.
+    """
+    size = abs(_scaled_sum(_terms(row, e)))
+    if size < _SUM_FLOOR:
+        raise ArithmeticError(f"the point is within rounding of a zero of theta: the scaled "
+                              f"theta sum is {size!r}, so its log has no correct digit")
+    return math.log(size) - _PI * tau.im * row[1] ** 2
+
+
+def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> complex:
+    # exp(lead) times the scaled sum (times 2*pi*i*n termwise for theta'),
+    # where lead = pi*i*tau*(m0^2 - d^2) + 2*pi*i*n0*c and m0^2 - d^2 = n0*(n0 + 2d)
+    z = complex(z)
+    d = z.imag / tau.im
+    c = (z.real - d * tau.re) % 1.0
+    row = _weight_row(d, tau, tol)
+    n0, half = row[0], row[5]
+    terms = _terms(row, _phase(c))
+    total = (2j * _PI * sum((n0 + k) * x for k, x in zip(range(-half, half + 1), terms))
+             if deriv else _scaled_sum(terms))
+    lead = 1j * _PI * (tau.z * (n0 * (n0 + 2.0 * d)) + 2.0 * n0 * c)
+    try:
+        value = cmath.exp(lead) * total
+    except OverflowError:
+        value = complex(math.inf)
+    if cmath.isinf(value):
+        name = "theta'" if deriv else "theta"
+        raise ArithmeticError(f"|{name}| overflows a double: "
+                              f"log|{name}| = {lead.real + math.log(abs(total))!r}")
+    return value
+
+
+def theta(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+    """Riemann's theta function sum_n exp(pi*i*n^2*tau + 2*pi*i*n*z).
+
+    Any complex z: with z = c + d*tau, theta = exp(-pi*i*tau*d^2) * S(c, d),
+    the factor applied analytically.  tau is not reduced.  Raises
+    ArithmeticError, naming log|theta|, where |theta| overflows a double
+    (pi*Im(tau)*d^2 above ~709, i.e. |Im z| large against Im tau).
+    """
+    return _theta(z, tau, tol, deriv=False)
+
+
+def theta_dz(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+    """d(theta)/dz: the terms of theta weighted by 2*pi*i*n.  Raises
+    ArithmeticError, naming log|theta'|, where it overflows a double."""
+    return _theta(z, tau, tol, deriv=True)
 
 
 def log_norm_theta(point: TorusPoint, tau: TauPoint,
                    tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """log ||theta||(a + b*tau; tau); -inf at a zero of theta."""
-    c = float(point.a)
-    d = float(point.b)
-    return 0.25 * math.log(tau.im) + log_abs_theta_shifted(c % 1.0, d % 1.0, tau, tol)
+    """log ||theta||(a + b*tau; tau).  Raises ArithmeticError within about
+    1e-16 of a zero of theta, as log_abs_theta_shifted."""
+    row = _weight_row(float(point.b) % 1.0, tau, tol)
+    return 0.25 * math.log(tau.im) + log_abs_theta_shifted(row, _phase(float(point.a)), tau)
 
 
 def norm_theta(point: TorusPoint, tau: TauPoint,
                tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """The normalised theta (Im tau)^(1/4) exp(-pi*y^2/Im tau) |theta(z; tau)|
-    at z = a + b*tau.  Depends only on the class of z modulo the lattice."""
-    return math.exp(log_norm_theta(point, tau, tol))
+    at z = a + b*tau, an invariant of the point class.  Formed without a log:
+    accurate to about 1e-16 absolute near a zero of theta, where log_norm_theta
+    raises.  Raises ArithmeticError where its dominant term is not a normal double."""
+    row = _weight_row(float(point.b) % 1.0, tau, tol)
+    lead = _exp_normal(0.25 * math.log(tau.im) - _PI * tau.im * row[1] ** 2,
+                       "||theta||", "log of its dominant term")
+    return lead * abs(_scaled_sum(_terms(row, _phase(float(point.a)))))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from itertools import permutations
 import numpy as np
 
 from .errors import SeriesConvergenceError
-from .lattice import TauPoint, TorusPoint, reduce_tau
-from .modular import DEFAULT_TOL, SeriesTolerance, delta, theta
-from .green import green
+from .lattice import TauPoint, reduce_tau
+from .modular import (DEFAULT_TOL, SeriesTolerance, _phase, _weight_row, delta,
+                      log_abs_theta_shifted, theta)
+from .green import _log_green_sum
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -246,30 +247,24 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
 
     For the half-period points P_i matched to the roots alpha_i,
     G(P_i, P_j)^12 = 16 |alpha_i - alpha_j|^2 / (|alpha_i - alpha_k| |alpha_j - alpha_k|).
-    Returns the relative residuals for (1,2), (1,3), (2,3).
+    Both sides are compared as logs, so neither under- nor overflows at any
+    Im tau.  Returns the relative residuals |expm1(lhs - rhs)| for (1,2),
+    (1,3), (2,3).
     """
-    from fractions import Fraction
-
-    t3, t4, t2 = _theta_constants(tau, tol)
-    # pairwise root distances straight from the theta constants (subtracting
-    # stored roots would lose the small distance near the cusp)
-    dist = {
-        (0, 1): _PI_SQ * abs(t4) ** 4,
-        (0, 2): _PI_SQ * abs(t3) ** 4,
-        (1, 2): _PI_SQ * abs(t2) ** 4,
+    # log |alpha_i - alpha_j| less log pi^2 (which cancels) is 4 log|theta
+    # constant|, straight from the shifted sums S(1/2, 0), S(0, 0) and
+    # S(0, 1/2) (subtracting stored roots would lose the small distance)
+    log_dist = {
+        pair: 4.0 * log_abs_theta_shifted(_weight_row(d, tau, tol), _phase(c), tau)
+        for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
-    pts = [
-        TorusPoint(Fraction(ca, 2), Fraction(cb, 2))
-        for ca, cb in _HALF_PERIOD_COORDS
-    ]
     out = []
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        g = green(tau, pts[j] - pts[i], tol)
-        lhs = g.value ** 12
-        rhs = 16.0 * dist[(i, j)] ** 2 / (
-            dist[tuple(sorted((i, k)))] * dist[tuple(sorted((j, k)))]
-        )
-        out.append(abs(lhs - rhs) / rhs)
+        (ai, bi), (aj, bj) = _HALF_PERIOD_COORDS[i], _HALF_PERIOD_COORDS[j]
+        lhs = 12.0 * _log_green_sum(tau, 2, [(aj - ai, bj - bi)], tol)
+        rhs = (math.log(16.0) + 2.0 * log_dist[(i, j)]
+               - log_dist[tuple(sorted((i, k)))] - log_dist[tuple(sorted((j, k)))])
+        out.append(abs(math.expm1(lhs - rhs)))
     return tuple(out)
 
 

@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from ellgreen.lattice import TauPoint
+
+# Every hypothesis property draws the same examples on every run, and none is
+# timed: the mpmath oracles are slow and the suite must not flake on a busy
+# machine.
+settings.register_profile("ellgreen", deadline=None, derandomize=True)
+settings.load_profile("ellgreen")
 
 SEED = 7
 

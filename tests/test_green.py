@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,7 +59,7 @@ def test_two_torsion_product_is_two(sample_taus):
 
 
 @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_green_symmetric_under_negation(a, b):
     p = TorusPoint(a, b)
     lhs = green(TAU, p).log_value
@@ -111,20 +113,88 @@ def test_torsion_product_rejects_bad_order():
         torsion_product(TAU, 0)
 
 
-def test_torsion_product_raises_when_theta_underflows():
-    # at Im tau = 1000 the theta sum at (1/2, 0) underflows to 0; a nonzero
-    # point is never a zero of G, so the product must not read 0
-    with pytest.raises(ArithmeticError, match="underflowed"):
-        torsion_product(TauPoint(0.0, 1000.0), 2)
+def mp_log_green(tau, a, b):
+    """log G(0, a + b*tau) in 30-digit arithmetic, tau reduced: the theta sum
+    taken directly over a window around its dominant index, log|eta| from
+    the q-product."""
+    mp.mp.dps = 30
+    t = mp.mpc(tau.re, tau.im)
+    w = mp.mpf(a) + mp.mpf(b) * t + (1 + t) / 2
+    centre = int(mp.nint(-w.imag / t.imag))
+    half = math.ceil(math.sqrt(100.0 / (math.pi * tau.im))) + 2
+    total = mp.fsum(mp.exp(1j * mp.pi * n * n * t + 2j * mp.pi * n * w)
+                    for n in range(centre - half, centre + half + 1))
+    log_eta = -mp.pi * t.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * t))))
+    return float(-mp.pi * w.imag ** 2 / t.imag + mp.log(abs(total)) - log_eta)
 
 
-def test_green_raises_when_theta_underflows_at_a_nonzero_point():
-    # the theta sum at (0.3, 0) underflows from Im tau ~ 475 on; G is never
-    # 0 off the lattice, so green must raise rather than return 0 / -inf
-    near = green(TauPoint(0.1, 474.0), TorusPoint(0.3, 0))
-    assert math.isfinite(near.log_value) and near.log_value < -200.0
-    with pytest.raises(ArithmeticError, match="reduced Im tau = 475.0"):
-        green(TauPoint(0.1, 475.0), TorusPoint(0.3, 0))
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_torsion_product_far_in_the_cusp(n):
+    # the theta sums of these points underflow a double, their logs do not:
+    # the product is summed in logs and still equals N
+    assert abs(torsion_product(TauPoint(0.1, 1000.0), n) - n) / n < 1e-10
+    assert abs(torsion_product(TauPoint(0.0, 1000.0), n) - n) / n < 1e-10
+    assert abs(torsion_product(TauPoint(0.1, 466.0), n) - n) / n < 1e-10
+
+
+@pytest.mark.parametrize("im", [474.0, 475.0, 1000.0, 1350.0])
+def test_green_far_in_the_cusp_matches_mpmath(im):
+    # G at (0.3, 0) is about exp(-pi * Im tau / 6): tiny, but a normal double
+    tau = TauPoint(0.1, im)
+    ours = green(tau, TorusPoint(0.3, 0)).log_value
+    ref = mp_log_green(tau, 0.3, 0)
+    assert abs(ours - ref) < 1e-10 * abs(ref)
+
+
+def test_green_raises_a_named_error_where_g_underflows():
+    # log G(0, 0.3) = -1046.7 at Im tau = 2000 is still exact, but G is not
+    # a double
+    named = r"G underflows a normal double: log G = -1046\.7\d* at reduced Im tau = 2000\.0"
+    with pytest.raises(ArithmeticError, match=named):
+        green(TauPoint(0.1, 2000.0), TorusPoint(0.3, 0))
+    with pytest.raises(ArithmeticError, match=r"log G = -750\.0"):
+        GreenValue.from_log(-750.0)
+
+
+@pytest.mark.parametrize("eps", [1e-17, 1e-20])
+def test_green_within_rounding_of_the_origin_raises(eps):
+    # the scaled theta sum is below its own rounding error here: its log
+    # reads about -37.09 where the true values are -37.83 and -44.74
+    with pytest.raises(ArithmeticError, match="within rounding of a zero of theta"):
+        green(TauPoint(0.0, 1.0), TorusPoint(eps, 0.0))
+
+
+@pytest.mark.parametrize("tau", [TauPoint(0.0, 1.0), TauPoint(0.45, 0.9), TAU])
+def test_green_near_the_origin_matches_mpmath(tau):
+    # relative accuracy about 1e-16 / |z|
+    ours = green(tau, TorusPoint(1e-4, 0.0)).log_value
+    assert abs(ours - mp_log_green(tau, 1e-4, 0.0)) < 1e-12
+
+
+LOG_NORMAL_MIN = math.log(sys.float_info.min)
+LOG_MAX = math.log(sys.float_info.max)
+
+
+@given(st.floats(-0.5, 0.5), st.floats(1.0, 2600.0),
+       st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+@settings(max_examples=60)
+def test_log_green_matches_mpmath_over_the_cusp(re, im, a, b):
+    # log G is right over the whole reduced range; G itself is returned
+    # wherever it is a normal double and is a named error elsewhere
+    tau = TauPoint(re, im)
+    ref = mp_log_green(tau, a, b)
+    if LOG_NORMAL_MIN + 1e-6 < ref < LOG_MAX - 1e-6:
+        ours = green(tau, TorusPoint(a, b)).log_value
+        assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
+    elif not LOG_NORMAL_MIN - 1e-6 <= ref <= LOG_MAX + 1e-6:
+        with pytest.raises(ArithmeticError, match="G (under|over)flows"):
+            green(tau, TorusPoint(a, b))
+
+
+@given(st.floats(-0.5, 0.5), st.floats(1.0, 2600.0), st.integers(2, 12))
+@settings(max_examples=40)
+def test_torsion_product_equals_order_over_the_cusp(re, im, n):
+    assert abs(torsion_product(TauPoint(re, im), n) - n) / n < 1e-10
 
 
 def test_overflowing_green_raises_a_named_error():

@@ -60,7 +60,7 @@ def test_log_green_constant_values():
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_log_green_constant_additive_over_coprime(m, n):
     if gcd(m, n) != 1:
         return

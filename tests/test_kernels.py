@@ -1,30 +1,44 @@
+import math
+import random
+
 import numpy as np
 
 from ellgreen import _kernels
 from ellgreen.lattice import TauPoint
-from ellgreen.modular import DEFAULT_TOL, gaussian_half_width, log_abs_theta_shifted
+from ellgreen.modular import (
+    DEFAULT_TOL,
+    _phase,
+    _row,
+    _weight_row,
+    log_abs_theta_shifted,
+)
 
 
-def _grid(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+def _grid(tau, n, seed, widen=0):
+    # the quadrature's combine: one weight row per d, one phase row per c
+    rng = random.Random(seed)
+    cs = [rng.random() for _ in range(n)]
+    rows = [_weight_row(rng.random(), tau, DEFAULT_TOL) for _ in range(n)]
+    half = rows[0][5] + widen
+    weights = np.array([_row(w_low, w_high, q, half) for _, _, w_low, w_high, q, _ in rows])
+    phases = np.array([_row(e.conjugate(), e, 1.0, half) for e in map(_phase, cs)])
+    return cs, rows, _kernels.log_abs_theta_shifted_grid(weights, phases)
 
 
 def test_numpy_kernel_matches_scalar_path():
+    # grid entry (d, c) plus the dominant log of d is log|S(c, d)| per point
     tau = TauPoint(0.13, 1.32)
-    c, d = _grid(200)
-    half = gaussian_half_width(tau.im, DEFAULT_TOL.rel_tol)
-    batch = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half)
-    for i in range(c.shape[0]):
-        scalar = log_abs_theta_shifted(float(c[i]), float(d[i]), tau)
-        assert abs(batch[i] - scalar) < 1e-10
+    cs, rows, grid = _grid(tau, 60, seed=0)
+    for i, row in enumerate(rows):
+        lead = -math.pi * tau.im * row[1] ** 2
+        for j, c in enumerate(cs):
+            scalar = log_abs_theta_shifted(row, _phase(c), tau)
+            assert abs(grid[i, j] + lead - scalar) < 1e-12
 
 
 def test_kernel_window_is_wide_enough():
-    # widening the window must not change the result beyond the tolerance
+    # widening the window must not change the result beyond rounding
     tau = TauPoint(0.2, 1.1)
-    c, d = _grid(500, seed=5)
-    half = gaussian_half_width(tau.im, DEFAULT_TOL.rel_tol)
-    a = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half)
-    b = _kernels.log_abs_theta_shifted_grid(c, d, tau.re, tau.im, half + 4)
-    assert np.max(np.abs(a - b)) < 1e-11
+    _, _, a = _grid(tau, 80, seed=5)
+    _, _, b = _grid(tau, 80, seed=5, widen=4)
+    assert np.max(np.abs(a - b)) < 1e-13

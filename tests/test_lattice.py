@@ -78,7 +78,7 @@ def test_torus_point_zero_and_arithmetic():
 
 
 @given(st.floats(0, 0.999), st.floats(0, 0.999))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_torus_point_translation_invariance(a, b):
     assert TorusPoint(a + 1.0, b) == TorusPoint(a, b) or \
         abs(TorusPoint(a + 1.0, b).a - a) < 1e-12
@@ -132,7 +132,7 @@ def test_reduce_tau_boundary_ties():
 
 
 @given(st.floats(-4.0, 4.0), st.floats(0.05, 10.0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_reduce_tau_idempotent(re, im):
     red, _ = reduce_tau(TauPoint(re, im))
     again, mat = reduce_tau(red)

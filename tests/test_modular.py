@@ -17,6 +17,7 @@ from ellgreen.modular import (
     invariants,
     log_norm_delta,
     log_norm_eta,
+    log_norm_theta,
     norm_theta,
     theta,
     theta_dz,
@@ -63,6 +64,29 @@ def test_theta_against_mpmath():
         ours = theta(z, TAU)
         ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z), mp.exp(1j * mp.pi * mp.mpc(TAU.z))))
         assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [TAU, TauPoint(-0.4, 0.9), TauPoint(0.3, 2.7)])
+def test_theta_and_derivative_against_mpmath_outside_the_cell(tau):
+    # z = c + d*tau with |d| up to 5 and c off [0, 1): theta and theta' must
+    # carry the quasi-periodicity factor exp(-pi*i*tau*d^2) exactly
+    mp.mp.dps = 30
+    nome = mp.exp(1j * mp.pi * mp.mpc(tau.z))
+    for c, d in ((-2.3, -5.0), (0.7, -3.7), (3.1, 2.4), (-0.45, 5.0), (1.5, 0.3)):
+        z = c + d * tau.z
+        w = mp.pi * mp.mpc(z)
+        ref = complex(mp.jtheta(3, w, nome))
+        ref_dz = complex(mp.pi * mp.jtheta(3, w, nome, 1))
+        assert abs(theta(z, tau) - ref) / abs(ref) < 1e-12
+        assert abs(theta_dz(z, tau) - ref_dz) / abs(ref_dz) < 1e-12
+
+
+@pytest.mark.parametrize("fn,log_name", [(theta, "log|theta|"), (theta_dz, "log|theta'|")])
+def test_theta_overflow_is_a_named_error(fn, log_name):
+    # |theta(0.3 + 200i)| ~ exp(104719) and |theta'| ~ exp(104726) at
+    # tau = 0.1 + 1.2i
+    with pytest.raises(ArithmeticError, match=f"{re.escape(log_name)} = 1047[12]"):
+        fn(0.3 + 200j, TauPoint(0.1, 1.2))
 
 
 def test_theta_rejects_tiny_imaginary_part():
@@ -212,8 +236,16 @@ def test_norm_theta_vanishes_at_half_period():
     assert norm_theta(half, TAU) < 1e-10
 
 
+def test_norm_theta_raises_instead_of_a_silent_zero():
+    # 1000^(1/4) exp(-pi * 1000 / 4) is not a normal double; the log stays finite
+    point = TorusPoint(0.3, 0.5)
+    with pytest.raises(ArithmeticError, match=r"log of its dominant term = -783\.67"):
+        norm_theta(point, TauPoint(0.0, 1000.0))
+    assert abs(log_norm_theta(point, TauPoint(0.0, 1000.0)) + 783.509471012124) < 1e-9
+
+
 @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_norm_theta_even(a, b):
     p = TorusPoint(a, b)
     assert abs(norm_theta(p, TAU) - norm_theta(-p, TAU)) < 1e-10

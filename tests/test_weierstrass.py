@@ -164,6 +164,14 @@ def test_two_torsion_green_values_on_grid():
         assert max(two_torsion_green_check(tau)) < 1e-8
 
 
+@pytest.mark.parametrize("im", [500.0, 2000.0])
+def test_two_torsion_green_values_far_in_the_cusp(im):
+    # G^12 overflows and the theta constant of the root side underflows
+    # here; both sides are compared as logs
+    assert max(two_torsion_green_check(TauPoint(0.0, im))) < 1e-10
+    assert max(two_torsion_green_check(TauPoint(0.3, im))) < 1e-10
+
+
 def test_two_torsion_right_hand_sides_multiply_to_4096():
     # the product of the three root formulas collapses to 16^3, matching
     # (G G G)^12 = 2^12
