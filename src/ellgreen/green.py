@@ -64,11 +64,11 @@ class GreenValue:
         return cls(_exp_log_green(log_value), log_value)
 
 
-def _exp_log_green(log_value: float, tau: TauPoint | None = None) -> float:
+def _exp_log_green(log_value: float, tau: TauPoint | None = None, name: str = "G") -> float:
     # log G(0, a + b*tau) runs from about -pi*Im(tau)/6 at b = 0 to pi*Im(tau)/12
     # at b = 1/2, so G may leave the normal doubles while its log does not
     try:
-        return _exp_normal(log_value, "G", "log G")
+        return _exp_normal(log_value, name, f"log {name}")
     except ArithmeticError as exc:
         if tau is None:
             raise
@@ -84,26 +84,33 @@ def _log_green_unreduced(tau: TauPoint, a: float, b: float,
     return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase(c), tau) - _log_abs_eta(tau, tol)
 
 
-def _log_green_sum(tau: TauPoint, n: int, pairs: list[tuple[int, int]],
-                   tol: SeriesTolerance) -> float:
-    # Sum of log G(0, (i + j*tau)/n) over the nonzero pairs (i, j) mod n.
-    # tau is reduced and log|eta| computed once for the whole sum; each pair
-    # moves through the reduction matrix in integers, and i/n rounds as
-    # float(Fraction(i, n)) does.  One weight row per distinct b and one phase
-    # per distinct a, built as green() builds them: every term equals green's.
+def _log_green_sums(tau: TauPoint, n: int, pair_lists: list[list[tuple[int, int]]],
+                    tol: SeriesTolerance) -> list[float]:
+    # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n,
+    # 0 for the zero pair.  tau is reduced and log|eta| computed once per call;
+    # pairs move through the reduction matrix in integers.  G(-P) = G(P): each
+    # class is evaluated once, at min(P, -P) as green() evaluates it (i/n rounds
+    # as float(Fraction(i, n)) does), and filed under P and -P, so a sum does
+    # not depend on the other lists of the call.
     red, ((ma, mb), (mc, md)) = reduce_tau(tau)
     log_eta = _log_abs_eta(red, tol)
-    weights, phases = {}, {}
-    logs = []
-    for i, j in pairs:
-        a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
-        if a or b:
-            if b not in weights:
-                weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
-            if a not in phases:
-                phases[a] = _phase((a / n + 0.5) % 1.0)
-            logs.append(log_abs_theta_shifted(weights[b], phases[a], red) - log_eta)
-    return math.fsum(logs)
+    weights, phases, table = {}, {}, {(0, 0): 0.0}
+    sums = []
+    for pairs in pair_lists:
+        logs = []
+        for i, j in pairs:
+            p = (ma * i - mb * j) % n, (md * j - mc * i) % n
+            if p not in table:
+                a, b = min(p, (-p[0] % n, -p[1] % n))
+                if b not in weights:
+                    weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
+                if a not in phases:
+                    phases[a] = _phase((a / n + 0.5) % 1.0)
+                table[a, b] = table[-a % n, -b % n] = (
+                    log_abs_theta_shifted(weights[b], phases[a], red) - log_eta)
+            logs.append(table[p])
+        sums.append(math.fsum(logs))
+    return sums
 
 
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
@@ -161,9 +168,11 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     """prod of G(0, P) over the nonzero n-torsion points (contract: equals n).
 
     Summed as logs, so single values of G may lie outside a double.  Raises
-    ArithmeticError, as green, where the product is not a normal double.
+    ArithmeticError, naming the kernel product, its log and the reduced Im
+    tau, where the product is not a normal double.
     """
-    return _exp_log_green(_log_green_sum(tau, n, _torsion_pairs(n), tol), tau)
+    log_product = _log_green_sums(tau, n, [_torsion_pairs(n)], tol)[0]
+    return _exp_log_green(log_product, tau, "kernel product")
 
 
 def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -172,12 +181,13 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     Returns (product, predicted) with product = prod_{P in ker, P != 0} G(0, P)
     on the source and predicted = sqrt(N) * ||eta||(target)^2 / ||eta||(source)^2.
     Raises ArithmeticError, as torsion_product, where the product is not a
-    normal double (kernel points at b = 1/2 overflow it from a reduced source
-    Im tau of ~2700, points at b = 0 can underflow it from ~1350).
+    normal double: kernel points at b = 1/2 or b = 0 push it out of range from
+    a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
     n = iso.degree
     pairs = _kernel_pairs(iso.coordinate_matrix(), n)
-    product = _exp_log_green(_log_green_sum(iso.source, n, pairs, tol), iso.source)
+    log_product = _log_green_sums(iso.source, n, [pairs], tol)[0]
+    product = _exp_log_green(log_product, iso.source, "kernel product")
     log_ratio = 2.0 * (log_norm_eta(iso.target, tol) - log_norm_eta(iso.source, tol))
     predicted = math.sqrt(iso.degree) * math.exp(log_ratio)
     return product, predicted

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .green import _log_green_sum, green  # noqa: F401  perfbench/tests reads heights.green
+from .green import _log_green_sums, green  # noqa: F401  perfbench/tests reads heights.green
 from .lattice import (
     TauPoint,
     _exact_order_pairs,
@@ -82,7 +82,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _log_green_sum(tau, m, _exact_order_pairs(m), tol)
+    return _log_green_sums(tau, m, [_exact_order_pairs(m)], tol)[0]
 
 
 def average_height_increment(n: int) -> float:
@@ -124,12 +124,9 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     subs = cyclic_subgroups(n)
     count = len(subs)
     log_delta_src = log_norm_delta(tau, tol)
-    green_sums = []
-    delta_drops = []
-    for sub in subs:
-        green_sums.append(_log_green_sum(tau, n, _subgroup_pairs(sub), tol))
-        target, _ = _quotient_target(tau, sub)
-        delta_drops.append((log_delta_src - log_norm_delta(target, tol)) / 12.0)
+    green_sums = _log_green_sums(tau, n, [_subgroup_pairs(sub) for sub in subs], tol)
+    delta_drops = [(log_delta_src - log_norm_delta(_quotient_target(tau, sub)[0], tol)) / 12.0
+                   for sub in subs]
     return AverageHeightReport(
         n=n,
         green_average=math.fsum(green_sums) / count,

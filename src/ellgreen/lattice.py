@@ -154,20 +154,15 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _canonical_generator(n: int, u: int, v: int, units: list[int]) -> tuple[int, int]:
-    # Orbit of (u, v) under unit multiples; pick the (v, u)-lexicographic
-    # minimum.  The minimal v equals gcd(v, n) (or 0 if n | v), so the
-    # canonical second component always divides n.
-    best = None
-    for lam in units:
-        cand = ((lam * v) % n, (lam * u) % n)
-        if best is None or cand < best:
-            best = cand
-    return best[1], best[0]
-
-
-def _units(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if gcd(k, n) == 1]
+def _normal_form(n: int, u: int, v: int) -> tuple[int, int]:
+    # the (v, u)-least unit multiple of the order-n generator (u, v); see
+    # CyclicSubgroup
+    h, s, _ = _egcd(v, n)
+    step = n // h
+    x = (s * u) % step
+    while gcd(x, h) != 1:
+        x += step
+    return x, h % n
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,10 @@ class CyclicSubgroup:
 
     Stored by its canonical generator (u, v)/N: the lexicographically
     smallest generator ordered by (v, u), which makes equality structural.
-    Any generator accepted; the constructor canonicalises.
+    Any generator accepted; the constructor canonicalises.  That is the
+    normal form of the point (u : v) of P^1(Z/N) (Cremona, Algorithms for
+    Modular Elliptic Curves, 2.2): v becomes h = gcd(v, N), or 0 when N | v,
+    and u the least x = s*u mod N/h with gcd(x, h) = 1, where s*v = h mod N.
     """
 
     order: int
@@ -192,7 +190,7 @@ class CyclicSubgroup:
             raise ValueError(
                 f"generator ({self.u}, {self.v}) does not have exact order {n}"
             )
-        u, v = _canonical_generator(n, u, v, _units(n))
+        u, v = _normal_form(n, u, v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -212,14 +210,11 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
     """
     if n < 1:
         raise ValueError(f"subgroup order must be >= 1, got {n}")
-    units = _units(n)
-    seen: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(n):
-            if gcd(gcd(u, v), n) == 1:
-                seen.add(_canonical_generator(n, u, v, units))
-    ordered = sorted(seen, key=lambda t: (t[1], t[0]))
-    return [CyclicSubgroup(n, u, v) for u, v in ordered]
+    # one point (r : h) of P^1(Z/n) per divisor h and residue r mod n/h
+    # prime to gcd(h, n/h), lifted to its normal form (r is not always prime to h)
+    subs = [CyclicSubgroup(n, *_normal_form(n, r, h)) for h in range(1, n + 1) if n % h == 0
+            for r in range(n // h) if gcd(gcd(r, h), n // h) == 1]
+    return sorted(subs, key=lambda sub: (sub.v, sub.u))
 
 
 # Torsion points are enumerated as integer pairs (i, j) for (i/n, j/n) mod 1;
@@ -358,12 +353,10 @@ def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
 
 
 def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex]:
-    # (target, scale) of the quotient by sub; see quotient
-    n, u, v = sub.order, sub.u, sub.v
-    h, s, _ = _egcd(v, n)  # h = gcd(v, n); s*v = h (mod n)
-    assert 1 <= h <= n
-    d1 = n // h
-    x0 = (s * u) % d1
+    # (target, scale) of the quotient by sub; see quotient.  In normal form
+    # v = h = gcd(v, n) (0 when h = n), so s = 1 and x0 = u mod n/h
+    n, h = sub.order, sub.v or sub.order
+    x0 = sub.u % (n // h)
     # basis of the superlattice: omega1 = 1/h, omega2 = (x0 + h*tau)/n
     omega1 = 1.0 / h
     raw = complex(h * x0, 0) / n + (h * h / n) * tau.z

@@ -19,7 +19,7 @@ from .errors import SeriesConvergenceError
 from .lattice import TauPoint, reduce_tau
 from .modular import (DEFAULT_TOL, SeriesTolerance, _phase, _weight_row, delta,
                       log_abs_theta_shifted, theta)
-from .green import _log_green_sum
+from .green import _log_green_sums
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -261,7 +261,7 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     out = []
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         (ai, bi), (aj, bj) = _HALF_PERIOD_COORDS[i], _HALF_PERIOD_COORDS[j]
-        lhs = 12.0 * _log_green_sum(tau, 2, [(aj - ai, bj - bi)], tol)
+        lhs = 12.0 * _log_green_sums(tau, 2, [[(aj - ai, bj - bi)]], tol)[0]
         rhs = (math.log(16.0) + 2.0 * log_dist[(i, j)]
                - log_dist[tuple(sorted((i, k)))] - log_dist[tuple(sorted((j, k)))])
         out.append(abs(math.expm1(lhs - rhs)))

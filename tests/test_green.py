@@ -205,10 +205,22 @@ def test_overflowing_green_raises_a_named_error():
     named = r"log G = 785\.39.* at reduced Im tau = 3000\.0"
     with pytest.raises(ArithmeticError, match=named):
         green(tau, TorusPoint(0, Fraction(1, 2)))
-    with pytest.raises(ArithmeticError, match=named):
+    # the kernel {0, tau/2} makes the kernel product that one G; energy names
+    # the product and its log
+    product = r"kernel product overflows a double: log kernel product = 785\.39.* at reduced Im tau = 3000\.0"
+    with pytest.raises(ArithmeticError, match=product):
         energy(quotient(tau, CyclicSubgroup(2, 0, 1)))
     with pytest.raises(ArithmeticError, match=r"log G = 710\.0"):
         GreenValue.from_log(710.0)
+
+
+def test_energy_names_an_underflowing_kernel_product():
+    # 1000 kernel points leave the doubles at reduced Im tau 1.5, where every
+    # single G is a normal double
+    named = (r"kernel product underflows a normal double: "
+             r"log kernel product = -778\.48\d* at reduced Im tau = 1\.5")
+    with pytest.raises(ArithmeticError, match=named):
+        energy(quotient(TauPoint(0.2, 1.5), CyclicSubgroup(1001, 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import importlib
 import math
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,16 +16,19 @@ from ellgreen.heights import (
     exact_order_log_green_expected,
     faltings_height,
 )
-from ellgreen.green import energy, green, torsion_product
+from ellgreen.green import _log_green_sums, energy, green, torsion_product
 from ellgreen.lattice import (
+    CyclicSubgroup,
     TauPoint,
+    TorusPoint,
+    _subgroup_pairs,
     cyclic_subgroups,
     exact_order_points,
     mult_by_n_kernel,
     quotient,
     subgroup_points,
 )
-from ellgreen.modular import SeriesTolerance, log_norm_delta
+from ellgreen.modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -211,23 +216,92 @@ def test_height_multi_embedding_average():
 UNREDUCED_TAU = TauPoint.from_complex(-1 / (-1 / (TAU.z + 2) - 1))
 
 
-def per_point_log_sum(tau, points):
-    return math.fsum(green(tau, p).log_value for p in points if not p.is_zero)
+def plus_minus_representative(p, n):
+    # min(P, -P) in integer pairs: the point at which the kernel sums evaluate
+    # the class of P
+    i, j = int(p.a * n), int(p.b * n)
+    i, j = min((i, j), (-i % n, -j % n))
+    return TorusPoint(Fraction(i, n), Fraction(j, n))
+
+
+def per_point_logs(tau, points, n=None):
+    # log G at each nonzero point, or at its +-P representative when n is given
+    if n is not None:
+        points = [plus_minus_representative(p, n) for p in points]
+    return [green(tau, p).log_value for p in points if not p.is_zero]
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 24])
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
 def test_kernel_sums_equal_per_point_loop(tau, n):
-    # the integer-pair sums do the same float operations as green(), so the
-    # results must be equal, not merely close
-    assert torsion_product(tau, n) == math.exp(per_point_log_sum(tau, mult_by_n_kernel(n)))
-    assert exact_order_log_green(tau, n) == per_point_log_sum(tau, exact_order_points(n))
+    # one log G per +-P class moves the sums off the per-point loop in the
+    # last bits only: 1e-13 relative to the size of the summands (a log sum
+    # may cancel to ~0) and 1e-13 relative on the products
+    def sum_close(total, logs):
+        return abs(total - math.fsum(logs)) <= 1e-13 * max(1.0, math.fsum(map(abs, logs)))
+
+    def product_close(product, logs):
+        expected = math.exp(math.fsum(logs))
+        return abs(product - expected) <= 1e-13 * expected
+
+    assert product_close(torsion_product(tau, n), per_point_logs(tau, mult_by_n_kernel(n)))
+    assert sum_close(exact_order_log_green(tau, n), per_point_logs(tau, exact_order_points(n)))
     sums, drops = [], []
     for sub in cyclic_subgroups(n):
         iso = quotient(tau, sub)
-        assert energy(iso)[0] == math.exp(per_point_log_sum(tau, iso.kernel))
-        sums.append(per_point_log_sum(tau, subgroup_points(sub)))
+        assert product_close(energy(iso)[0], per_point_logs(tau, iso.kernel))
+        sums.append(math.fsum(per_point_logs(tau, subgroup_points(sub))))
         drops.append((log_norm_delta(tau) - log_norm_delta(iso.target)) / 12.0)
     report = average_green_over_cyclic(tau, n)
-    assert report.green_average == math.fsum(sums) / len(sums)
+    assert abs(report.green_average - math.fsum(sums) / len(sums)) <= 1e-13 * max(
+        1.0, math.fsum(map(abs, sums)) / len(sums))
     assert report.delta_average == math.fsum(drops) / len(drops)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 24])
+def test_kernel_sums_equal_green_at_plus_minus_representatives(n):
+    # at the reduced TAU no pair moves, so each class's log G is green() at
+    # min(P, -P) bit for bit
+    def reps(points):
+        return math.fsum(per_point_logs(TAU, points, n))
+
+    assert torsion_product(TAU, n) == math.exp(reps(mult_by_n_kernel(n)))
+    assert exact_order_log_green(TAU, n) == reps(exact_order_points(n))
+    subs = cyclic_subgroups(n)
+    for sub in subs:
+        assert energy(quotient(TAU, sub))[0] == math.exp(reps(quotient(TAU, sub).kernel))
+    sums = [reps(subgroup_points(sub)) for sub in subs]
+    assert average_green_over_cyclic(TAU, n).green_average == math.fsum(sums) / len(sums)
+
+
+@pytest.mark.parametrize("n", [2, 6, 12, 24])
+@pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
+def test_shared_table_sums_equal_one_list_calls(tau, n):
+    # a sum depends on its own list only, not on the lists sharing the table
+    lists = [_subgroup_pairs(sub) for sub in cyclic_subgroups(n)]
+    alone = [_log_green_sums(tau, n, [pairs], DEFAULT_TOL)[0] for pairs in lists]
+    assert _log_green_sums(tau, n, lists, DEFAULT_TOL) == alone
+    assert _log_green_sums(tau, n, lists[::-1], DEFAULT_TOL)[::-1] == alone
+
+
+def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(monkeypatch):
+    # G(-P) = G(P): a kernel sum evaluates (points + 2-torsion points) / 2
+    # shifted theta sums, and average_green_over_cyclic shares them across
+    # its subgroups
+    green_module = importlib.import_module("ellgreen.green")
+    real, calls = green_module.log_abs_theta_shifted, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr(green_module, "log_abs_theta_shifted", counted)
+    # (575 nonzero points of order dividing 24 + the 3 of order 2) / 2
+    assert count(lambda: average_green_over_cyclic(TAU, 24)) == 289
+    assert count(lambda: torsion_product(TAU, 30)) == 451  # (899 + 3) / 2
+    assert count(lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0)))) == 6  # (11 + 1) / 2

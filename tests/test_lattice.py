@@ -179,6 +179,34 @@ def test_cyclic_subgroup_canonical_generator_is_stable():
     assert a.v % a.order == a.v and (a.v == 0 or a.order % a.v == 0)
 
 
+def unit_orbit_minimum(n, u, v):
+    # the canonical generator by its definition: the (v, u)-least multiple of
+    # (u, v) by a unit mod n, searched over every unit
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    v_min, u_min = min(((k * v) % n, (k * u) % n) for k in units)
+    return u_min, v_min
+
+
+@pytest.mark.parametrize("n", list(range(1, 49)))
+def test_canonical_generator_is_the_unit_orbit_minimum(n):
+    for u in range(n):
+        for v in range(n):
+            if math.gcd(math.gcd(u, v), n) == 1:
+                sub = CyclicSubgroup(n, u, v)
+                assert (sub.u, sub.v) == unit_orbit_minimum(n, u, v), (u, v)
+
+
+def test_cyclic_subgroups_are_counted_sorted_and_normal_up_to_240():
+    from ellgreen.heights import cyclic_subgroup_count
+
+    for n in range(1, 241):
+        subs = cyclic_subgroups(n)
+        assert len(subs) == cyclic_subgroup_count(n), n
+        keys = [(sub.v, sub.u) for sub in subs]
+        assert keys == sorted(keys), n
+        assert all(sub.v == 0 or n % sub.v == 0 for sub in subs), n
+
+
 def test_cyclic_subgroup_rejects_non_generator():
     with pytest.raises(ValueError):
         CyclicSubgroup(4, 2, 0)  # (2, 0) has order 2, not 4
