@@ -233,7 +233,10 @@ def green_mean_integral(tau: TauPoint, grid: int,
 
     Samples the grid*grid midpoints of the unit square in reduced lattice
     coordinates (never hitting the singular lattice point) and returns the
-    mean, which tends to 0 as the grid is refined.
+    mean, which tends to 0 as the grid is refined.  With M = grid the
+    midpoints are the coset (1/(2M), 1/(2M)) + X[M] of the M-torsion, and the
+    projection formula for multiplication by M sums log G over it to
+    log G(0, (1+tau)/2), so the mean is log G(0, (1+tau)/2) / M^2.
     """
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")

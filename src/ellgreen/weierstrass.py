@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, reduce_tau
 from .modular import (DEFAULT_TOL, SeriesTolerance, _phase, _weight_row, delta,
@@ -23,6 +21,7 @@ from .green import _log_green_sums
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a primitive cube root of 1
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,15 @@ def _theta_constants(tau: TauPoint, tol: SeriesTolerance) -> tuple[complex, comp
     return t3, t4, t2
 
 
+def _theta_roots(t3: complex, t4: complex) -> RootTriple:
+    # alpha1 - alpha3 = pi^2 theta(0)^4, alpha1 - alpha2 = pi^2 theta(1/2)^4
+    # and alpha1 + alpha2 + alpha3 = 0 pin the triple
+    d13 = _PI_SQ * t3 ** 4
+    d12 = _PI_SQ * t4 ** 4
+    alpha1 = (d12 + d13) / 3.0
+    return RootTriple(alpha1, alpha1 - d12, alpha1 - d13)
+
+
 def half_period_roots(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> RootTriple:
     """Half-period roots for the lattice Z + tau*Z, built from theta constants.
 
@@ -140,55 +148,62 @@ def half_period_roots(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Root
     alpha2 - alpha3 = pi^2 exp(pi*i*tau) theta(tau/2)^4; together with
     sum(alpha) = 0 this pins the triple.
     """
-    t3, t4, _ = _theta_constants(tau, tol)
-    d13 = _PI_SQ * t3 ** 4
-    d12 = _PI_SQ * t4 ** 4
-    alpha1 = (d12 + d13) / 3.0
-    return RootTriple(alpha1, alpha1 - d12, alpha1 - d13)
+    return _theta_roots(theta(0.0, tau, tol), theta(0.5, tau, tol))
 
 
 def _cubic_roots(curve: WeierstrassCurve) -> list[complex]:
-    # roots of 4x^3 - p*x - q with one Newton polish per root
-    raw = np.roots([4.0, 0.0, -curve.p, -curve.q])
-    polished = []
-    for r in raw:
-        r = complex(r)
-        df = 12.0 * r * r - curve.p
-        if df != 0:
-            r -= (4.0 * r ** 3 - curve.p * r - curve.q) / df
-        polished.append(r)
-    return polished
+    """Roots of 4x^3 - p*x - q by Cardano's formula and two Newton steps each.
+
+    The curve is first rescaled by x = s*y with s = 2^round(log2 max(|p|^(1/2),
+    |q|^(1/3))), which is exact and leaves y^3 + a*y + b = 0 with |a|, |b| of
+    order one.  Of the cube-root arguments -b/2 +- sqrt(b^2/4 + a^3/27) the
+    one of larger modulus is taken, so that no cancellation enters it.
+    """
+    p, q = curve.p, curve.q
+    s = 2.0 ** round(math.log2(max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))))
+    a = -p / (4.0 * s * s)
+    b = -q / (4.0 * s * s * s)
+    root = cmath.sqrt(b * b / 4.0 + a ** 3 / 27.0)
+    u = max(-b / 2.0 + root, -b / 2.0 - root, key=abs) ** (1.0 / 3.0)
+    roots = []
+    for uk in (u, u * _OMEGA, u * _OMEGA.conjugate()):
+        y = uk - a / (3.0 * uk)
+        for _ in range(2):
+            y -= (y ** 3 + a * y + b) / (3.0 * y * y + a)
+        roots.append(s * y)
+    return roots
 
 
 def _match_roots(computed: list[complex],
                  predicted: tuple[complex, complex, complex]) -> tuple[complex, ...]:
-    best = None
-    best_cost = math.inf
-    for perm in permutations(computed):
-        cost = sum(abs(c - t) for c, t in zip(perm, predicted))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    return best
+    return min(permutations(computed),
+               key=lambda perm: sum(abs(c - t) for c, t in zip(perm, predicted)))
 
 
 def _root_differences(a1: complex, a2: complex, a3: complex,
-                      disc: complex) -> tuple[complex, complex, complex]:
-    """(a1-a2, a1-a3, a2-a3) with the smallest difference recomputed from the
-    discriminant.
+                      curve: WeierstrassCurve) -> tuple[complex, complex, complex]:
+    """(a1-a2, a1-a3, a2-a3) for roots of the curve, each to full relative
+    precision.
 
-    A nearly degenerate pair is resolved by the cubic solver only to about
-    sqrt(eps); since disc = 16 (d12 d13 d23)^2, the small difference follows
-    from the two well-conditioned ones at full precision.
+    A cubic solver resolves a nearly degenerate pair only to about sqrt(eps),
+    so only the isolated root r, the one of largest |f'(r)| = |12 r^2 - p|,
+    is used.  Since f'(r) = 4 (r-x)(r-y) and disc = 16 ((r-x)(r-y)(x-y))^2,
+    the other two roots differ by d = sqrt(disc) / f'(r), its sign matched to
+    the solver's x - y; they are -r/2 +- d/2, so r - x = 3r/2 - d/2 and
+    r - y = 3r/2 + d/2.
     """
-    diffs = [a1 - a2, a1 - a3, a2 - a3]
-    idx = min(range(3), key=lambda i: abs(diffs[i]))
-    others = [diffs[i] for i in range(3) if i != idx]
-    rescued = cmath.sqrt(disc / (16.0 * others[0] ** 2 * others[1] ** 2))
-    if abs(rescued - diffs[idx]) > abs(-rescued - diffs[idx]):
-        rescued = -rescued
-    diffs[idx] = rescued
-    return tuple(diffs)
+    roots = (a1, a2, a3)
+    slopes = [12.0 * x * x - curve.p for x in roots]
+    i = max(range(3), key=lambda m: abs(slopes[m]))
+    j, k = (m for m in range(3) if m != i)
+    r = roots[i]
+    d = cmath.sqrt(curve.discriminant) / slopes[i]
+    raw = roots[j] - roots[k]
+    if abs(d - raw) > abs(d + raw):
+        d = -d
+    diffs = {(i, j): 1.5 * r - 0.5 * d, (i, k): 1.5 * r + 0.5 * d, (j, k): d}
+    return tuple(diffs[m, n] if (m, n) in diffs else -diffs[n, m]
+                 for m, n in ((0, 1), (0, 2), (1, 2)))
 
 
 def thomae_residuals(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
@@ -200,11 +215,9 @@ def thomae_residuals(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     value, which sidesteps the square-root branch choices.
     """
     curve = eisenstein(tau, tol)
-    a1, a2, a3 = _match_roots(
-        _cubic_roots(curve), half_period_roots(tau, tol).as_tuple()
-    )
-    d12, d13, d23 = _root_differences(a1, a2, a3, curve.discriminant)
     t3, t4, t2 = _theta_constants(tau, tol)
+    a1, a2, a3 = _match_roots(_cubic_roots(curve), _theta_roots(t3, t4).as_tuple())
+    d12, d13, d23 = _root_differences(a1, a2, a3, curve)
     rhs13 = _PI_SQ * abs(t3) ** 4
     rhs12 = _PI_SQ * abs(t4) ** 4
     rhs23 = _PI_SQ * abs(t2) ** 4
@@ -290,53 +303,24 @@ def optimal_agm(a: complex, b: complex, rel_tol: float = 1e-15,
     )
 
 
-def _curve_scale(roots: list[complex]) -> float:
-    return max(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
-               abs(roots[1] - roots[2]))
-
-
-def _j_invariant_series(tau: TauPoint, tol: SeriesTolerance) -> complex:
-    curve = eisenstein(tau, tol)
-    return 1728.0 * curve.p ** 3 / curve.discriminant
-
-
-def _polish_tau(red: TauPoint, j_target: complex,
-                tol: SeriesTolerance) -> TauPoint:
-    # Newton on the j-invariant.  The AGM can land a period ratio that is
-    # off by O(|q|) when a branch step leaves the theta-duplication
-    # trajectory near the cusp; one or two Newton steps remove that.
-    z = red.z
-    h = 1e-5
-    for _ in range(2):
-        j0 = _j_invariant_series(TauPoint.from_complex(z), tol)
-        jp = (_j_invariant_series(TauPoint(z.real + h, z.imag), tol)
-              - _j_invariant_series(TauPoint(z.real - h, z.imag), tol)) / (2.0 * h)
-        if abs(jp) < 1e-6 * (1.0 + abs(j0)):
-            break  # near a critical point of j; nothing to gain
-        step = (j0 - j_target) / jp
-        if abs(step) > 1e-3:
-            break  # wrong basin; keep the unpolished value
-        z -= step
-    return TauPoint.from_complex(z)
-
-
 def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_TOL
                        ) -> PeriodData:
     """Recover an oriented period basis of a curve by the optimal AGM.
 
     With roots ordered (a1, a2, a3), omega1 = pi / AGM(sqrt(a1-a3), sqrt(a1-a2))
-    and omega2 = i*pi / AGM(sqrt(a1-a3), sqrt(a2-a3)).  Each candidate root
-    ordering is validated by a round trip through the Eisenstein series of
-    the reduced period ratio; the first ordering reproducing (p, q) wins.
+    and omega2 = i*pi / AGM(sqrt(a1-a3), sqrt(a2-a3)), the root differences
+    taken from the isolated root and the discriminant (`_root_differences`).
+    Each candidate root ordering is validated by a round trip through the
+    Eisenstein series of the reduced period ratio; the basis of the first
+    ordering reproducing (p, q) is returned as the AGM gives it.
     """
     if curve.discriminant == 0:
         raise ValueError("degenerate curve: zero discriminant")
     roots = _cubic_roots(curve)
-    scale = _curve_scale(roots)
     last_residual = math.inf
     for perm in permutations(range(3)):
-        a1, a2, a3 = (roots[perm[0]], roots[perm[1]], roots[perm[2]])
-        d12, d13, d23 = _root_differences(a1, a2, a3, curve.discriminant)
+        d12, d13, d23 = _root_differences(*(roots[k] for k in perm), curve)
+        scale = max(abs(d12), abs(d13), abs(d23))
         sa = cmath.sqrt(d13)
         sb = cmath.sqrt(d12)
         sc = cmath.sqrt(d23)
@@ -358,8 +342,7 @@ def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_T
             omega2 = -omega2
             ratio = -ratio
         tau = TauPoint.from_complex(ratio)
-        red, mat = reduce_tau(tau)
-        (ma, mb), (mc, md) = mat
+        red, (_, (mc, md)) = reduce_tau(tau)
         omega1_eff = omega1 * (mc * ratio + md)
         ref = eisenstein(red, tol)
         residual = (
@@ -367,12 +350,7 @@ def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_T
             + abs(ref.q / omega1_eff ** 6 - curve.q) / scale ** 3
         )
         if residual < 1e-6:
-            polished = _polish_tau(red, 1728.0 * curve.p ** 3 / curve.discriminant, tol)
-            # map the polished reduced point back through the inverse of the
-            # reduction and rebuild omega2 = omega1 * tau
-            raw = (md * polished.z - mb) / (-mc * polished.z + ma)
-            omega2 = omega1 * raw
-            return PeriodData(omega1, omega2, TauPoint.from_complex(raw))
+            return PeriodData(omega1, omega2, tau)
         last_residual = min(last_residual, residual)
     raise ArithmeticError(
         f"period recovery failed for every root ordering "

@@ -339,6 +339,16 @@ def test_mean_integral_matches_scalar_quadrature():
     assert abs(green_mean_integral(tau, m) - total / (m * m)) < 1e-11
 
 
+@pytest.mark.parametrize("tau", [TauPoint(0.0, 1.0), TauPoint(0.0, 3.0),
+                                 TauPoint(0.5, 1.2), TauPoint(0.4, 1.9)])
+def test_mean_integral_closed_form(tau):
+    # the midpoint grid is the coset (1/(2M), 1/(2M)) + X[M], so the
+    # projection formula for multiplication by M sums it to log G(0, (1+tau)/2)
+    half = green(tau, TorusPoint(Fraction(1, 2), Fraction(1, 2))).log_value
+    for m in (16, 32, 128):
+        assert abs(green_mean_integral(tau, m) - half / (m * m)) < 1e-13
+
+
 def test_green_value_validated():
     with pytest.raises(ValueError):
         GreenValue(0.0, 0.0)  # zero must carry the -inf sentinel

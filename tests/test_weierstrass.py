@@ -3,9 +3,12 @@ import math
 import pytest
 
 from ellgreen.lattice import TauPoint, reduce_tau
-from ellgreen.modular import SeriesTolerance, delta
+from ellgreen.modular import SeriesTolerance, delta, theta
 from ellgreen.weierstrass import (
     PeriodData,
+    _cubic_roots,
+    _match_roots,
+    _root_differences,
     RootTriple,
     WeierstrassCurve,
     discriminant_relation_residual,
@@ -109,6 +112,21 @@ def test_half_period_root_differences_telescope():
     r = half_period_roots(TAU)
     assert abs((r.alpha1 - r.alpha2) + (r.alpha2 - r.alpha3)
                - (r.alpha1 - r.alpha3)) < 1e-12
+
+
+def test_theta_constants_are_evaluated_once(monkeypatch):
+    # the root triple is built from theta(0) and theta(1/2) alone, and the
+    # Thomae check reuses them for its right-hand sides
+    import ellgreen.weierstrass as weierstrass
+
+    calls = []
+    monkeypatch.setattr(weierstrass, "theta",
+                        lambda *args: calls.append(args) or theta(*args))
+    half_period_roots(TAU)
+    assert len(calls) == 2
+    calls.clear()
+    thomae_residuals(TAU)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("tau", [TauPoint(0.0, 1.0), TauPoint(0.1, 2.0)])
@@ -243,12 +261,74 @@ def test_agm_iterations_bounded(rng):
 def test_j_invariant_against_mpmath(rng):
     import mpmath as mp
 
-    from ellgreen.modular import DEFAULT_TOL
-    from ellgreen.weierstrass import _j_invariant_series
-
     mp.mp.dps = 30
     for _ in range(20):
         tau = TauPoint(rng.uniform(-0.49, 0.49), rng.uniform(0.87, 6.0))
-        ours = _j_invariant_series(tau, DEFAULT_TOL) / 1728.0
+        curve = eisenstein(tau)
+        ours = 1728.0 * curve.p ** 3 / curve.discriminant / 1728.0
         ref = complex(mp.kleinj(mp.mpc(tau.z)))
         assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# cubic roots and root differences
+# ---------------------------------------------------------------------------
+
+def test_root_differences_match_theta_constants(rng):
+    # alpha1 - alpha2, alpha1 - alpha3 and alpha2 - alpha3 are pi^2 times
+    # theta_4(0)^4, theta_3(0)^4 and theta_2(0)^4, each to full relative
+    # precision although the near-degenerate pair is resolved by the solver
+    # only to about sqrt(eps)
+    import mpmath as mp
+
+    for _ in range(40):
+        tau = TauPoint(rng.uniform(-0.49, 0.49), rng.uniform(0.87, 14.0))
+        with mp.workdps(40):
+            nome = mp.exp(1j * mp.pi * mp.mpc(tau.z))
+            refs = [complex(mp.pi ** 2 * mp.jtheta(k, 0, nome) ** 4) for k in (4, 3, 2)]
+        a1 = (refs[0] + refs[1]) / 3.0
+        curve = eisenstein(tau)
+        roots = _match_roots(_cubic_roots(curve), (a1, a1 - refs[0], a1 - refs[1]))
+        d12, d13, d23 = _root_differences(*roots, curve)
+        assert abs(d12 - refs[0]) < 1e-12 * abs(refs[0])
+        assert abs(d13 - refs[1]) < 1e-12 * abs(refs[1])
+        # below sqrt(eps) of the root scale the solver cannot order the
+        # close pair, so the sign of their difference is checked only above it
+        if abs(refs[2]) < 1e-6 * abs(refs[1]):
+            d23 = math.copysign(1.0, (d23 / refs[2]).real) * d23
+        assert abs(d23 - refs[2]) < 1e-12 * abs(refs[2])
+
+
+def test_cubic_roots_rescale_exactly():
+    # the solver works on the curve rescaled by a power of two, so the
+    # weight-(4, 6) rescaling by lam = 2^k moves every root by exactly lam^2
+    curve = eisenstein(TAU)
+    base = _cubic_roots(curve)
+    for lam in (2.0 ** 40, 2.0 ** -40):
+        scaled = _cubic_roots(WeierstrassCurve(lam ** 4 * curve.p, lam ** 6 * curve.q))
+        assert scaled == [lam ** 2 * r for r in base]
+
+
+_RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_periods_round_trip_near_elliptic_points(eps):
+    # j is critical at i and rho; the AGM basis is returned as it is, so the
+    # round trip holds to rounding there as well
+    for z in (1j * (1.0 + eps), eps + 1j * (1.0 + eps),
+              _RHO + eps * (1.0 + 1j), -_RHO.conjugate() + eps * (-1.0 + 1j)):
+        tau = TauPoint.from_complex(z)
+        red, _ = reduce_tau(periods_from_curve(eisenstein(tau)).tau)
+        assert abs(red.z - z) < 1e-13
+
+
+def test_periods_from_curve_makes_one_eisenstein_call(monkeypatch):
+    import ellgreen.weierstrass as weierstrass
+
+    curve = eisenstein(TAU)
+    calls = []
+    monkeypatch.setattr(weierstrass, "eisenstein",
+                        lambda *args: calls.append(args) or eisenstein(*args))
+    periods_from_curve(curve)
+    assert len(calls) == 1
