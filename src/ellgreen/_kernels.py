@@ -1,15 +1,14 @@
-"""The quadrature's grid of shifted theta sums as one matrix product: with
-one weight row per distinct d and one phase row per distinct c (built by
-`modular`), the scaled sum at every (d, c) is an entry of weights @ phases.T.
+"""Pure-Python grid of shifted theta sums for green's direct midpoint mean:
+the scaled sum at (d, c) is d's weight row dotted with c's phase row.  It is
+a module of its own because the benchmark traces it as a layer boundary.
 """
 
-from __future__ import annotations
+import math
+from operator import mul
 
-import numpy as np
 
-
-def log_abs_theta_shifted_grid(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """log |sum_k w_k(d) p_k(c)| for every row of `weights` (one per d)
-    against every row of `phases` (one per c), both of shape (M, 2K + 1);
-    the caller keeps the grid away from the zeros of theta."""
-    return np.log(np.abs(weights @ phases.T))
+def log_abs_theta_shifted_grid(weights: list[list[complex]],
+                               phases: list[list[complex]]) -> list[list[float]]:
+    """log |sum_k w_k p_k| for each weight row (one per d) against each phase
+    row (one per c), one list per weight row; the grid avoids theta's zeros."""
+    return [[math.log(abs(sum(map(mul, w, p)))) for p in phases] for w in weights]

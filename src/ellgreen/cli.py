@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .green import (
     energy,
@@ -76,15 +76,6 @@ class OutputRecord:
     residuals: dict = field(default_factory=dict)
     tolerance_used: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "residuals": self.residuals,
-            "tolerance_used": self.tolerance_used,
-        }
-
 
 def _fmt(value) -> str:
     # repr of a float is the shortest digit string that round-trips, i.e.
@@ -96,7 +87,7 @@ def _fmt(value) -> str:
 
 def render(record: OutputRecord, as_json: bool) -> str:
     if as_json:
-        return json.dumps(record.to_dict(), indent=2)
+        return json.dumps(asdict(record), indent=2)
     lines = [f"command: {record.command}"]
     for section in ("inputs", "results", "residuals"):
         entries = getattr(record, section)
@@ -295,16 +286,7 @@ def cmd_faltings(args, tol) -> OutputRecord:
 def cmd_verify(args, tol) -> int:
     results = run_checks(level=args.level, seed=args.seed, tol=tol)
     if args.json:
-        payload = [
-            {
-                "criterion": r.criterion,
-                "name": r.name,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ]
+        payload = [{**asdict(r), "passed": r.passed} for r in results]
         print(json.dumps(payload, indent=2))
     else:
         for r in results:

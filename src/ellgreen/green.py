@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .lattice import (
     Isogeny,
@@ -231,24 +229,32 @@ def green_mean_integral(tau: TauPoint, grid: int,
                         tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """Midpoint quadrature of log G(0, .) against the unit-mass flat form.
 
-    Samples the grid*grid midpoints of the unit square in reduced lattice
-    coordinates (never hitting the singular lattice point) and returns the
-    mean, which tends to 0 as the grid is refined.  With M = grid the
-    midpoints are the coset (1/(2M), 1/(2M)) + X[M] of the M-torsion, and the
-    projection formula for multiplication by M sums log G over it to
-    log G(0, (1+tau)/2), so the mean is log G(0, (1+tau)/2) / M^2.
+    The mean over the grid*grid midpoints of the unit square in reduced
+    lattice coordinates, which tends to 0 as the grid is refined, in closed
+    form, exact for the midpoint rule: with M = grid the midpoints are the
+    coset (1/(2M), 1/(2M)) + X[M], which multiplication by M sends to
+    (1+tau)/2, so the projection formula sums log G over them to
+    log G(0, (1+tau)/2) (at (1/2, 1/2) in reduced coordinates).
     """
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
+    return _log_green_unreduced(reduce_tau(tau)[0], 0.5, 0.5, tol) / (grid * grid)
+
+
+def _midpoint_log_green_mean(tau: TauPoint, grid: int,
+                             tol: SeriesTolerance = DEFAULT_TOL) -> float:
+    # The direct sum behind green_mean_integral's closed form.  G(-P) = G(P)
+    # pairs (i, j) with (M-1-i, M-1-j): rows j < M/2 count twice, an odd M's middle once.
     red, _ = reduce_tau(tau)
     shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
-    rows = [_weight_row(d, red, tol) for d in shifted]
+    rows = [_weight_row(d, red, tol) for d in shifted[:(grid + 1) // 2]]
     half = rows[0][5]
     weights = [_row(w_low, w_high, q, half) for _, _, w_low, w_high, q, _ in rows]
     phases = [_row(e.conjugate(), e, 1.0, half) for e in map(_phase, shifted)]
-    log_sums = _kernels.log_abs_theta_shifted_grid(np.array(weights), np.array(phases))
+    log_sums = _kernels.log_abs_theta_shifted_grid(weights, phases)
+    counts = [1 if 2 * j + 1 == grid else 2 for j in range(len(rows))]
     # each d's dominant log -pi*Im(tau)*m0^2 recurs once per c
-    leads = math.fsum(-math.pi * red.im * row[1] ** 2 for row in rows)
-    total = math.fsum(log_sums.ravel().tolist()) + grid * leads
+    leads = math.fsum(-n * math.pi * red.im * row[1] ** 2 for n, row in zip(counts, rows))
+    total = math.fsum(n * x for n, logs in zip(counts, log_sums) for x in logs) + grid * leads
     log_eta = _log_abs_eta(red, tol)  # the (Im tau)^(1/4) factors cancel
     return total / (grid * grid) - log_eta

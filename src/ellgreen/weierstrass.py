@@ -31,6 +31,10 @@ class WeierstrassCurve:
     Near the cusp the two terms of the discriminant agree to many digits,
     so series producers (eisenstein) pass a cancellation-free value through
     `disc`; for hand-built curves it defaults to the direct difference.
+
+    Raises ValueError for p = q = 0, a zero discriminant, or a `disc` off
+    p^3 - 27q^2 by over 1e-10 (|p|^3 + 27|q|^2), far above that difference's
+    rounding (not compared where p^3 or q^2 leaves the doubles).
     """
 
     p: complex
@@ -40,10 +44,18 @@ class WeierstrassCurve:
     def __post_init__(self):
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "q", complex(self.q))
+        if self.p == 0 and self.q == 0:
+            raise ValueError("degenerate curve: p = q = 0")
         if self.disc is None:
             object.__setattr__(self, "disc", self.p ** 3 - 27.0 * self.q ** 2)
         else:
             object.__setattr__(self, "disc", complex(self.disc))
+            # products and hypot, not ** and abs, which raise OverflowError
+            p3, q2 = self.p * self.p * self.p, self.q * self.q
+            gap = self.disc - (p3 - 27.0 * q2)
+            size = math.hypot(p3.real, p3.imag) + 27.0 * math.hypot(q2.real, q2.imag)
+            if math.isfinite(size) and math.hypot(gap.real, gap.imag) > 1e-10 * size:
+                raise ValueError(f"disc = {self.disc!r} disagrees with p^3 - 27q^2 by {gap!r}")
         if self.disc == 0:
             raise ValueError("degenerate curve: p^3 - 27 q^2 = 0")
 

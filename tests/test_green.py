@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ellgreen.green import (
     GreenValue,
     _log_green_unreduced,
+    _midpoint_log_green_mean,
     a_invariant_adjunction_check,
     energy,
     energy_via_a,
@@ -326,27 +327,28 @@ def test_mean_integral_converges_to_zero():
 
 
 def test_mean_integral_matches_scalar_quadrature():
-    # oracle: the same midpoint sum assembled point by point from green(),
-    # which goes through the adaptive scalar series instead of the batched
-    # fixed-window kernel
-    m = 16
+    # oracle: the direct midpoint sum assembled point by point from green(),
+    # over the whole grid, against the half grid the reference sum evaluates
+    # (an odd M has a self-paired middle row)
     tau = TauPoint(0.4, 1.9)
-    total = math.fsum(
-        green(tau, TorusPoint((i + 0.5) / m, (j + 0.5) / m)).log_value
-        for i in range(m)
-        for j in range(m)
-    )
-    assert abs(green_mean_integral(tau, m) - total / (m * m)) < 1e-11
+    for m in (16, 17):
+        total = math.fsum(
+            green(tau, TorusPoint((i + 0.5) / m, (j + 0.5) / m)).log_value
+            for i in range(m)
+            for j in range(m)
+        )
+        assert abs(_midpoint_log_green_mean(tau, m) - total / (m * m)) < 1e-11
 
 
 @pytest.mark.parametrize("tau", [TauPoint(0.0, 1.0), TauPoint(0.0, 3.0),
-                                 TauPoint(0.5, 1.2), TauPoint(0.4, 1.9)])
+                                 TauPoint(0.5, 1.2), TauPoint(0.4, 1.9),
+                                 TauPoint(1.3, 1.2)])
 def test_mean_integral_closed_form(tau):
     # the midpoint grid is the coset (1/(2M), 1/(2M)) + X[M], so the
-    # projection formula for multiplication by M sums it to log G(0, (1+tau)/2)
-    half = green(tau, TorusPoint(Fraction(1, 2), Fraction(1, 2))).log_value
-    for m in (16, 32, 128):
-        assert abs(green_mean_integral(tau, m) - half / (m * m)) < 1e-13
+    # projection formula for multiplication by M sums it to log G(0, (1+tau)/2);
+    # 1.3+1.2i is unreduced, and reduction moves its (1/2, 1/2) to (0, 1/2)
+    for m in (16, 17, 32, 128):
+        assert abs(green_mean_integral(tau, m) - _midpoint_log_green_mean(tau, m)) < 1e-13
 
 
 def test_green_value_validated():

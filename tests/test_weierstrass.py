@@ -33,6 +33,25 @@ def test_curve_validation():
     assert WeierstrassCurve(4.0, 0.0).discriminant == 64.0
 
 
+def test_curve_rejects_inconsistent_discriminant():
+    # p = q = 0 is the cusp whatever disc says; disc = 100 is not 4^3 = 64
+    with pytest.raises(ValueError, match="p = q = 0"):
+        WeierstrassCurve(0.0, 0.0, disc=1.0)
+    with pytest.raises(ValueError, match="disagrees"):
+        WeierstrassCurve(4.0, 0.0, disc=100.0)
+    # past the doubles the comparison is skipped rather than overflowing
+    assert WeierstrassCurve(1e200, 1e150, disc=5.0).discriminant == 5.0
+
+
+@pytest.mark.parametrize("im", [0.9, 5.0, 12.0, 25.0, 40.0])
+def test_curve_accepts_eisenstein_discriminant_far_in_the_cusp(im):
+    # there the carried disc and the direct difference disagree in every
+    # digit of disc, but only by rounding of |p|^3 + 27|q|^2
+    for re in (-0.5, -0.17, 0.0, 0.31):
+        curve = eisenstein(TauPoint(re, im))
+        assert WeierstrassCurve(curve.p, curve.q, curve.disc) == curve
+
+
 def test_period_data_validation():
     with pytest.raises(ValueError):
         PeriodData(1.0, 2.0j, TauPoint(0.5, 2.0))
