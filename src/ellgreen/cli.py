@@ -58,9 +58,7 @@ def parse_subgroup(text: str) -> tuple[int, int, int]:
     """Parse 'u,v,N': the cyclic subgroup generated by (u/N, v/N)."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"subgroup must be 'u,v,N', got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"subgroup must be 'u,v,N', got {text!r}")
     try:
         u, v, n = (int(p) for p in parts)
     except ValueError as exc:
@@ -80,9 +78,7 @@ class OutputRecord:
 def _fmt(value) -> str:
     # repr of a float is the shortest digit string that round-trips, i.e.
     # full double precision; shared by the JSON and table renderers
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render(record: OutputRecord, as_json: bool) -> str:
@@ -264,12 +260,14 @@ def cmd_faltings(args, tol) -> OutputRecord:
             TauPoint(float(e["re"]), float(e["im"])) for e in payload["embeddings"]
         )
         inp = CurveHeightInput(
-            degree=int(payload["degree"]),
+            degree=payload["degree"],
             log_norm_min_disc=float(payload["log_norm_min_disc"]),
             embeddings=embeddings,
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise UsageError(f"faltings input missing field: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad faltings input in {args.input!r}: {exc}") from None
     height = faltings_height(inp, tol)
     return OutputRecord(
         command="faltings",

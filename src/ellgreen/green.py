@@ -29,8 +29,7 @@ from .modular import (
     log_norm_eta,
     _exp_normal,
     _log_abs_eta,
-    _phase,
-    _row,
+    _phase_row,
     _weight_row,
 )
 
@@ -79,7 +78,8 @@ def _log_green_unreduced(tau: TauPoint, a: float, b: float,
     # The (Im tau)^(1/4) factors of ||theta|| and ||eta|| cancel.
     c = (a + 0.5) % 1.0
     d = (b + 0.5) % 1.0
-    return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase(c), tau) - _log_abs_eta(tau, tol)
+    return (log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol))
+            - _log_abs_eta(tau, tol))
 
 
 def _log_green_sums(tau: TauPoint, n: int, pair_lists: list[list[tuple[int, int]]],
@@ -103,9 +103,9 @@ def _log_green_sums(tau: TauPoint, n: int, pair_lists: list[list[tuple[int, int]
                 if b not in weights:
                     weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
                 if a not in phases:
-                    phases[a] = _phase((a / n + 0.5) % 1.0)
+                    phases[a] = _phase_row((a / n + 0.5) % 1.0, red, tol)
                 table[a, b] = table[-a % n, -b % n] = (
-                    log_abs_theta_shifted(weights[b], phases[a], red) - log_eta)
+                    log_abs_theta_shifted(weights[b], phases[a]) - log_eta)
             logs.append(table[p])
         sums.append(math.fsum(logs))
     return sums
@@ -248,13 +248,9 @@ def _midpoint_log_green_mean(tau: TauPoint, grid: int,
     red, _ = reduce_tau(tau)
     shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
     rows = [_weight_row(d, red, tol) for d in shifted[:(grid + 1) // 2]]
-    half = rows[0][5]
-    weights = [_row(w_low, w_high, q, half) for _, _, w_low, w_high, q, _ in rows]
-    phases = [_row(e.conjugate(), e, 1.0, half) for e in map(_phase, shifted)]
-    log_sums = _kernels.log_abs_theta_shifted_grid(weights, phases)
+    phases = [_phase_row(c, red, tol) for c in shifted]
+    log_sums = _kernels.log_abs_theta_shifted_grid(rows, phases)
     counts = [1 if 2 * j + 1 == grid else 2 for j in range(len(rows))]
-    # each d's dominant log -pi*Im(tau)*m0^2 recurs once per c
-    leads = math.fsum(-n * math.pi * red.im * row[1] ** 2 for n, row in zip(counts, rows))
-    total = math.fsum(n * x for n, logs in zip(counts, log_sums) for x in logs) + grid * leads
+    total = math.fsum(n * x for n, logs in zip(counts, log_sums) for x in logs)
     log_eta = _log_abs_eta(red, tol)  # the (Im tau)^(1/4) factors cancel
     return total / (grid * grid) - log_eta

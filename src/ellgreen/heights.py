@@ -59,11 +59,8 @@ def cyclic_log_green_constant(n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    terms = []
-    for p, r in _prime_factorization(n):
-        coeff = Fraction(p ** r - 1, p ** (r - 1) * (p * p - 1))
-        terms.append(float(coeff) * math.log(p))
-    return math.fsum(terms)
+    return math.fsum(float(Fraction(p ** r - 1, p ** (r - 1) * (p * p - 1))) * math.log(p)
+                     for p, r in _prime_factorization(n))
 
 
 def exact_order_log_green_expected(m: int) -> float:
@@ -72,9 +69,7 @@ def exact_order_log_green_expected(m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     factors = _prime_factorization(m)
-    if len(factors) == 1:
-        return math.log(factors[0][0])
-    return 0.0
+    return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 
 def exact_order_log_green(tau: TauPoint, m: int,
@@ -140,7 +135,10 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
 class CurveHeightInput:
     """Inputs of the explicit height formula for a curve over a number field:
     the field degree, log of the minimal-discriminant norm (nats), and one
-    tau per complex embedding."""
+    tau per complex embedding.
+
+    Raises ValueError for a degree that is not an integer >= 1, a log norm
+    that is negative or not finite, or no embedding."""
 
     degree: int
     log_norm_min_disc: float
@@ -148,12 +146,11 @@ class CurveHeightInput:
 
     def __post_init__(self):
         object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        if self.degree < 1:
-            raise ValueError(f"field degree must be >= 1, got {self.degree}")
-        if self.log_norm_min_disc < 0:
-            raise ValueError(
-                f"log of a discriminant norm cannot be negative, got {self.log_norm_min_disc!r}"
-            )
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 1:
+            raise ValueError(f"field degree must be an integer >= 1, got {self.degree!r}")
+        if not 0.0 <= self.log_norm_min_disc < math.inf:
+            raise ValueError("log of a discriminant norm must be finite and >= 0, "
+                             f"got {self.log_norm_min_disc!r}")
         if not self.embeddings:
             raise ValueError("at least one complex embedding is required")
 

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, TorusPoint, reduce_tau
@@ -126,15 +127,15 @@ def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 #
 # S(c, d) = sum_n exp(pi*i*tau*(n+d)^2 + 2*pi*i*n*c) = exp(pi*i*tau*d^2) *
 # theta(c + d*tau).  With n = n0 + k, n0 = round(-d), m0 = n0 + d, S is its
-# dominant term exp(pi*i*tau*m0^2 + 2*pi*i*n0*c) times the scaled sum of
-# w_k * e^k over |k| <= K: the weights w_k = exp(pi*i*tau*k*(2*m0 + k))
-# depend on d only, the phases (e = exp(2*pi*i*c)) on c only.  |w_k| <= 1 =
-# w_0, so the scaled sum is of order 1 at any Im tau, and small only near a
-# zero of theta.  w_(k+1) / w_k = w_1 * q^k with q = exp(2*pi*i*tau) (and
-# alike from w_-1), so rows are running products, no exponential per term.
+# dominant term exp(pi*i*tau*m0^2 + 2*pi*i*n0*c) times the scaled sum: 1 plus
+# the weight row of d (w_k = exp(pi*i*tau*k*(2*m0 + k))) dotted with the phase
+# row of c (e^k, e = exp(2*pi*i*c)), both over k = 1..K, -1..-K.  |w_k| <= 1,
+# so the scaled sum is of order 1 at any Im tau, and small only near a zero of
+# theta.  w_(k+1) / w_k = w_1 * q^k with q = exp(2*pi*i*tau) (and alike from
+# w_-1), so rows are running products, no exponential per term.
 
 _SUM_FLOOR = 4.0 * sys.float_info.epsilon  # a few rounding errors of order-1 terms
-_WeightRow = tuple[int, float, complex, complex, complex, int]  # (n0, m0, w_-1, w_1, q, K)
+_WeightRow = tuple[int, float, list[complex]]  # (n0, -pi*Im(tau)*m0^2, weights)
 
 
 @lru_cache(maxsize=256)
@@ -144,27 +145,8 @@ def gaussian_half_width(tau_im: float, rel_tol: float) -> int:
     return math.ceil(math.sqrt(max(math.log(1.0 / rel_tol), 1.0) / (_PI * tau_im))) + 1
 
 
-def _row(left: complex, right: complex, ratio: complex, half: int) -> list[complex]:
-    # [x_-K, ..., x_K] with x_0 = 1 and x_(+-(k+1)) = x_(+-k) * first *
-    # ratio^k, first = left or right; factors of modulus <= 1 never overflow
-    lows, highs = [left], [right]
-    for _ in range(half - 1):
-        left *= ratio
-        right *= ratio
-        lows.append(lows[-1] * left)
-        highs.append(highs[-1] * right)
-    return lows[::-1] + [1.0 + 0j] + highs
-
-
-def _scaled_sum(terms: list[complex]) -> complex:
-    # the centre term 1 goes last, after the smaller ones, so the sum rounds
-    # once at its own scale
-    half = len(terms) // 2
-    return 1.0 + (sum(terms[:half]) + sum(terms[half + 1:]))
-
-
 def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
-    # the weight row of d; the only place that sizes the window
+    # the weight row of d; the only place that checks the window against max_terms
     half = gaussian_half_width(tau.im, tol.rel_tol)
     if 2 * half + 2 > tol.max_terms:
         raise SeriesConvergenceError(f"shifted theta sum needs {2 * half + 2} terms > max_terms="
@@ -172,47 +154,65 @@ def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
     n0 = round(-d)
     m0 = n0 + d
     t = 1j * _PI * tau.z
-    return (n0, m0, cmath.exp(t * (1.0 - 2.0 * m0)), cmath.exp(t * (1.0 + 2.0 * m0)),
-            cmath.exp(2.0 * t), half)
+    q = cmath.exp(2.0 * t)
+    high, low = cmath.exp(t * (1.0 + 2.0 * m0)), cmath.exp(t * (1.0 - 2.0 * m0))
+    highs, lows = [high], [low]
+    for _ in range(half - 1):  # factors of modulus <= 1 never overflow
+        high *= q
+        low *= q
+        highs.append(highs[-1] * high)
+        lows.append(lows[-1] * low)
+    return n0, -_PI * tau.im * m0 ** 2, highs + lows
 
 
-def _phase(c: float) -> complex:
-    return cmath.exp(2j * _PI * c)
+def _phase_row(c: float, tau: TauPoint, tol: SeriesTolerance) -> list[complex]:
+    # [e, ..., e^K, e^-1, ..., e^-K] for e = exp(2*pi*i*c), c real
+    e = cmath.exp(2j * _PI * c)
+    powers = [e]
+    for _ in range(gaussian_half_width(tau.im, tol.rel_tol) - 1):
+        powers.append(powers[-1] * e)
+    return powers + [p.conjugate() for p in powers]
 
 
-def _terms(row: _WeightRow, e: complex) -> list[complex]:
-    # [w_-K * e^-K, ..., w_K * e^K] for the weight row of d and the phase e of c
-    _, _, w_low, w_high, q, half = row
-    return _row(w_low * e.conjugate(), w_high * e, q, half)
+def _scaled_sum(weights: list[complex], phases: list[complex], centre: complex = 1.0) -> complex:
+    # the centre term (1, or n0 for theta') goes last, after the smaller ones,
+    # so the sum rounds once at its own scale
+    return centre + sum(map(mul, weights, phases))
 
 
-def log_abs_theta_shifted(row: _WeightRow, e: complex, tau: TauPoint) -> float:
+def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
-    the weight row of d (`_weight_row`) and the phase e = exp(2*pi*i*c).
+    the weight row of d (`_weight_row`) and the phase row of c (`_phase_row`).
 
     The dominant term's modulus exp(-pi*Im(tau)*m0^2) enters as a log, so
     nothing under- or overflows at any Im tau.  Raises ArithmeticError where
     the scaled sum is within a few rounding errors of 0 (c + d*tau within
     about 1e-16 of a zero of theta): no digit of the log survives there.
     """
-    size = abs(_scaled_sum(_terms(row, e)))
+    _, lead, weights = row
+    size = abs(_scaled_sum(weights, phases))
     if size < _SUM_FLOOR:
         raise ArithmeticError(f"the point is within rounding of a zero of theta: the scaled "
                               f"theta sum is {size!r}, so its log has no correct digit")
-    return math.log(size) - _PI * tau.im * row[1] ** 2
+    return math.log(size) + lead
 
 
 def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> complex:
-    # exp(lead) times the scaled sum (times 2*pi*i*n termwise for theta'),
+    # exp(lead) times the scaled sum (its terms times 2*pi*i*(n0 + k) for theta'),
     # where lead = pi*i*tau*(m0^2 - d^2) + 2*pi*i*n0*c and m0^2 - d^2 = n0*(n0 + 2d)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"theta needs a finite z, got {z!r}")
     d = z.imag / tau.im
     c = (z.real - d * tau.re) % 1.0
-    row = _weight_row(d, tau, tol)
-    n0, half = row[0], row[5]
-    terms = _terms(row, _phase(c))
-    total = (2j * _PI * sum((n0 + k) * x for k, x in zip(range(-half, half + 1), terms))
-             if deriv else _scaled_sum(terms))
+    n0, _, weights = _weight_row(d, tau, tol)
+    phases = _phase_row(c, tau, tol)
+    if deriv:
+        half = len(weights) // 2
+        ns = [*range(n0 + 1, n0 + half + 1), *range(n0 - 1, n0 - half - 1, -1)]
+        total = 2j * _PI * _scaled_sum([n * w for n, w in zip(ns, weights)], phases, n0)
+    else:
+        total = _scaled_sum(weights, phases)
     lead = 1j * _PI * (tau.z * (n0 * (n0 + 2.0 * d)) + 2.0 * n0 * c)
     try:
         value = cmath.exp(lead) * total
@@ -228,17 +228,18 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
 def theta(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Riemann's theta function sum_n exp(pi*i*n^2*tau + 2*pi*i*n*z).
 
-    Any complex z: with z = c + d*tau, theta = exp(-pi*i*tau*d^2) * S(c, d),
-    the factor applied analytically.  tau is not reduced.  Raises
-    ArithmeticError, naming log|theta|, where |theta| overflows a double
-    (pi*Im(tau)*d^2 above ~709, i.e. |Im z| large against Im tau).
+    Any finite complex z: with z = c + d*tau, theta = exp(-pi*i*tau*d^2) * S(c, d),
+    the factor applied analytically.  tau is not reduced.  Raises ValueError
+    for a non-finite z, and ArithmeticError, naming log|theta|, where |theta|
+    overflows a double (pi*Im(tau)*d^2 above ~709: |Im z| large against Im tau).
     """
     return _theta(z, tau, tol, deriv=False)
 
 
 def theta_dz(z: complex, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """d(theta)/dz: the terms of theta weighted by 2*pi*i*n.  Raises
-    ArithmeticError, naming log|theta'|, where it overflows a double."""
+    ValueError for a non-finite z, and ArithmeticError, naming log|theta'|,
+    where it overflows a double."""
     return _theta(z, tau, tol, deriv=True)
 
 
@@ -246,8 +247,8 @@ def log_norm_theta(point: TorusPoint, tau: TauPoint,
                    tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """log ||theta||(a + b*tau; tau).  Raises ArithmeticError within about
     1e-16 of a zero of theta, as log_abs_theta_shifted."""
-    row = _weight_row(float(point.b) % 1.0, tau, tol)
-    return 0.25 * math.log(tau.im) + log_abs_theta_shifted(row, _phase(float(point.a)), tau)
+    row, phases = _weight_row(float(point.b) % 1.0, tau, tol), _phase_row(float(point.a), tau, tol)
+    return 0.25 * math.log(tau.im) + log_abs_theta_shifted(row, phases)
 
 
 def norm_theta(point: TorusPoint, tau: TauPoint,
@@ -256,10 +257,9 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
     at z = a + b*tau, an invariant of the point class.  Formed without a log:
     accurate to about 1e-16 absolute near a zero of theta, where log_norm_theta
     raises.  Raises ArithmeticError where its dominant term is not a normal double."""
-    row = _weight_row(float(point.b) % 1.0, tau, tol)
-    lead = _exp_normal(0.25 * math.log(tau.im) - _PI * tau.im * row[1] ** 2,
-                       "||theta||", "log of its dominant term")
-    return lead * abs(_scaled_sum(_terms(row, _phase(float(point.a)))))
+    _, lead, weights = _weight_row(float(point.b) % 1.0, tau, tol)
+    scale = _exp_normal(0.25 * math.log(tau.im) + lead, "||theta||", "log of its dominant term")
+    return scale * abs(_scaled_sum(weights, _phase_row(float(point.a), tau, tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,7 @@ class CheckResult:
 def sample_reduced_taus(rng: random.Random, count: int,
                         im_max: float = 2.2) -> list[TauPoint]:
     """Deterministically sample points of the fundamental domain interior."""
-    out = []
-    for _ in range(count):
-        re = rng.uniform(-0.45, 0.45)
-        im = rng.uniform(1.05, im_max)
-        out.append(TauPoint(re, im))
-    return out
+    return [TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, im_max)) for _ in range(count)]
 
 
 def _tau_grid(side: int, im_max: float) -> list[TauPoint]:
@@ -272,9 +267,7 @@ def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
     worst = 0.0
     worst_iters = 0
     for _ in range(count):
-        re = rng.uniform(-0.499, 0.499)
-        im = rng.uniform(1.01, 4.0)
-        tau = TauPoint(re, im)
+        tau = TauPoint(rng.uniform(-0.499, 0.499), rng.uniform(1.01, 4.0))
         curve = eisenstein(tau, tol)
         periods = periods_from_curve(curve, tol)
         red, _ = reduce_tau(periods.tau)
@@ -293,12 +286,15 @@ def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
 
 
 def _brute_force_subgroup_sets(n: int) -> set[frozenset]:
-    seen = set()
+    # a point of a subgroup already found generates it or a smaller set
+    seen, covered = set(), set()
     for u in range(n):
         for v in range(n):
-            pts = frozenset(((k * u) % n, (k * v) % n) for k in range(n))
-            if len(pts) == n:
-                seen.add(pts)
+            if (u, v) not in covered:
+                pts = frozenset(((k * u) % n, (k * v) % n) for k in range(n))
+                if len(pts) == n:
+                    seen.add(pts)
+                    covered |= pts
     return seen
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, reduce_tau
-from .modular import (DEFAULT_TOL, SeriesTolerance, _phase, _weight_row, delta,
+from .modular import (DEFAULT_TOL, SeriesTolerance, _phase_row, _weight_row, delta,
                       log_abs_theta_shifted, theta)
 from .green import _log_green_sums
 
@@ -32,9 +32,10 @@ class WeierstrassCurve:
     so series producers (eisenstein) pass a cancellation-free value through
     `disc`; for hand-built curves it defaults to the direct difference.
 
-    Raises ValueError for p = q = 0, a zero discriminant, or a `disc` off
-    p^3 - 27q^2 by over 1e-10 (|p|^3 + 27|q|^2), far above that difference's
-    rounding (not compared where p^3 or q^2 leaves the doubles).
+    Raises ValueError for a non-finite p, q or `disc`, p = q = 0, a zero
+    discriminant, or a `disc` off p^3 - 27q^2 by over 1e-10 (|p|^3 + 27|q|^2),
+    far above that difference's rounding (not compared where p^3 or q^2 leaves
+    the doubles); ArithmeticError where p^3 - 27q^2 is needed but leaves them.
     """
 
     p: complex
@@ -42,17 +43,25 @@ class WeierstrassCurve:
     disc: complex | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "q", complex(self.q))
+        for name in ("p", "q", "disc"):
+            value = getattr(self, name)
+            if value is not None:
+                value = complex(value)
+                if not cmath.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                object.__setattr__(self, name, value)
         if self.p == 0 and self.q == 0:
             raise ValueError("degenerate curve: p = q = 0")
+        # products and hypot, not ** and abs, which raise OverflowError
+        p3, q2 = self.p * self.p * self.p, self.q * self.q
+        direct = p3 - 27.0 * q2
         if self.disc is None:
-            object.__setattr__(self, "disc", self.p ** 3 - 27.0 * self.q ** 2)
+            if not cmath.isfinite(direct):
+                raise ArithmeticError(f"p^3 - 27q^2 leaves the doubles at p = {self.p!r}, "
+                                      f"q = {self.q!r}")
+            object.__setattr__(self, "disc", direct)
         else:
-            object.__setattr__(self, "disc", complex(self.disc))
-            # products and hypot, not ** and abs, which raise OverflowError
-            p3, q2 = self.p * self.p * self.p, self.q * self.q
-            gap = self.disc - (p3 - 27.0 * q2)
+            gap = self.disc - direct
             size = math.hypot(p3.real, p3.imag) + 27.0 * math.hypot(q2.real, q2.imag)
             if math.isfinite(size) and math.hypot(gap.real, gap.imag) > 1e-10 * size:
                 raise ValueError(f"disc = {self.disc!r} disagrees with p^3 - 27q^2 by {gap!r}")
@@ -280,7 +289,7 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     # constant|, straight from the shifted sums S(1/2, 0), S(0, 0) and
     # S(0, 1/2) (subtracting stored roots would lose the small distance)
     log_dist = {
-        pair: 4.0 * log_abs_theta_shifted(_weight_row(d, tau, tol), _phase(c), tau)
+        pair: 4.0 * log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol))
         for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
     out = []

@@ -153,6 +153,24 @@ def test_faltings_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value,problem", [
+    ("degree", 1.7, "integer >= 1"),
+    ("degree", "one", "integer >= 1"),
+    ("log_norm_min_disc", "NaN", "finite and >= 0"),
+    ("log_norm_min_disc", math.inf, "finite and >= 0"),  # written as Infinity
+    ("log_norm_min_disc", "abc", "could not convert"),
+    ("embeddings", [{"re": "abc", "im": 1.0}], "could not convert"),
+])
+def test_faltings_bad_values_are_usage_errors(tmp_path, capsys, field, value, problem):
+    payload = {"degree": 1, "log_norm_min_disc": 0.0, "embeddings": [{"re": 0.0, "im": 1.0}]}
+    payload[field] = value
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "faltings", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "bad faltings input" in err and problem in err
+
+
 def test_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "--json", "green", "--tau", "0.13+1.32i",
                         "--z", "0.3+0.2i")

@@ -171,6 +171,13 @@ def test_height_input_validation():
         CurveHeightInput(1, 0.0, ())
 
 
+@pytest.mark.parametrize("degree,log_norm", [(1.5, 0.0), (2.0, 0.0), (True, 0.0), ("1", 0.0),
+                                             (1, math.nan), (1, math.inf)])
+def test_height_input_rejects_non_integer_degree_and_non_finite_log_norm(degree, log_norm):
+    with pytest.raises(ValueError, match="integer >= 1|finite and >= 0"):
+        CurveHeightInput(degree, log_norm, (TAU,))
+
+
 def test_height_single_embedding_formula():
     inp = CurveHeightInput(1, 0.0, (TAU,))
     expected = -(12 * math.log(2 * math.pi) + log_norm_delta(TAU)) / 12.0

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,17 @@ def test_library_runs_on_the_standard_library_alone():
     done = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(SRC)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_layer_boundaries_exist():
+    # the benchmark's tracer wraps these names; a missing one reads as absent
+    # in its per-layer metrics instead of failing (tracer.py needs only the
+    # standard library)
+    path = SRC.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    named = [*tracer.BOUNDARIES, tracer.ISOGENY_CHECK, tracer.TORUS_POINT]
+    missing = [f"{module}.{attr}" for _, module, attr in named
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert named and not missing, missing

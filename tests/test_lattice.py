@@ -19,6 +19,7 @@ from ellgreen.lattice import (
     transport_point,
 )
 from ellgreen.modular import delta
+from ellgreen.verify import _brute_force_subgroup_sets
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,14 @@ def test_cyclic_subgroups_match_brute_force(n):
     brute = brute_force_subgroup_sets(n)
     assert len(subs) == len(sets) == len(brute)
     assert sets == brute
+
+
+@pytest.mark.parametrize("n", list(range(1, 21)))
+def test_verify_brute_force_skipping_found_subgroups_loses_none(n):
+    # criterion 12's brute force skips the points of subgroups it has found
+    every = {frozenset(((k * u) % n, (k * v) % n) for k in range(n))
+             for u in range(n) for v in range(n)}
+    assert _brute_force_subgroup_sets(n) == {pts for pts in every if len(pts) == n}
 
 
 def test_cyclic_subgroup_canonical_generator_is_stable():

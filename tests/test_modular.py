@@ -89,6 +89,13 @@ def test_theta_overflow_is_a_named_error(fn, log_name):
         fn(0.3 + 200j, TauPoint(0.1, 1.2))
 
 
+@pytest.mark.parametrize("fn", [theta, theta_dz])
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_theta_rejects_a_non_finite_z(fn, z):
+    with pytest.raises(ValueError, match="finite z"):
+        fn(z, TAU)
+
+
 def test_theta_rejects_tiny_imaginary_part():
     with pytest.raises(SeriesConvergenceError):
         theta(0.3, TauPoint(0.0, 1e-6), SeriesTolerance(max_terms=64))

@@ -43,6 +43,20 @@ def test_curve_rejects_inconsistent_discriminant():
     assert WeierstrassCurve(1e200, 1e150, disc=5.0).discriminant == 5.0
 
 
+@pytest.mark.parametrize("p,q,disc", [(math.nan, 1.0, None), (math.inf, 1.0, None),
+                                      (1.0, complex(0.0, -math.inf), None),
+                                      (4.0, 0.0, complex(math.nan, 0.0))])
+def test_curve_rejects_non_finite_values(p, q, disc):
+    with pytest.raises(ValueError, match="must be finite"):
+        WeierstrassCurve(p, q, disc)
+
+
+def test_curve_names_a_discriminant_that_leaves_the_doubles():
+    # p^3 = 6.4e601: a named error, not a raw OverflowError from p ** 3
+    with pytest.raises(ArithmeticError, match="p\\^3 - 27q\\^2 leaves the doubles"):
+        WeierstrassCurve(4e200, 1e300)
+
+
 @pytest.mark.parametrize("im", [0.9, 5.0, 12.0, 25.0, 40.0])
 def test_curve_accepts_eisenstein_discriminant_far_in_the_cusp(im):
     # there the carried disc and the direct difference disagree in every
