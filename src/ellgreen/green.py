@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import truediv
 
 from . import _kernels
 from .lattice import (
+    IntMatrix,
     Isogeny,
     TauPoint,
     TorusPoint,
     _kernel_pairs,
+    _mod_one,
     _torsion_pairs,
     reduce_tau,
     transport_point,
@@ -72,26 +76,34 @@ def _exp_log_green(log_value: float, tau: TauPoint | None = None, name: str = "G
         raise ArithmeticError(f"{exc} at reduced Im tau = {reduce_tau(tau)[0].im!r}") from None
 
 
-def _log_green_unreduced(tau: TauPoint, a: float, b: float,
+def _log_green_unreduced(tau: TauPoint, log_eta: float, a: float, b: float,
                          tol: SeriesTolerance) -> float:
-    # log G(0, a + b*tau) evaluated at the given marking, no reduction.
-    # The (Im tau)^(1/4) factors of ||theta|| and ||eta|| cancel.
+    # log G(0, a + b*tau) at the given marking, no reduction; log_eta is
+    # log|eta(tau)|.  The (Im tau)^(1/4) factors of ||theta|| and ||eta|| cancel.
     c = (a + 0.5) % 1.0
     d = (b + 0.5) % 1.0
-    return (log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol))
-            - _log_abs_eta(tau, tol))
+    return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol)) - log_eta
 
 
-def _log_green_sums(tau: TauPoint, n: int, pair_lists: list[list[tuple[int, int]]],
+_Reduced = tuple[TauPoint, IntMatrix, float]
+
+
+def _reduced(tau: TauPoint, tol: SeriesTolerance) -> _Reduced:
+    # tau reduced, the reduction matrix and log|eta| at the reduced tau: what
+    # every sum over one torus shares.  log ||eta|| = log(Im)/4 + log|eta| there.
+    red, mat = reduce_tau(tau)
+    return red, mat, _log_abs_eta(red, tol)
+
+
+def _log_green_sums(reduced: _Reduced, n: int, pair_lists: list[list[tuple[int, int]]],
                     tol: SeriesTolerance) -> list[float]:
     # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n,
-    # 0 for the zero pair.  tau is reduced and log|eta| computed once per call;
-    # pairs move through the reduction matrix in integers.  G(-P) = G(P): each
-    # class is evaluated once, at min(P, -P) as green() evaluates it (i/n rounds
-    # as float(Fraction(i, n)) does), and filed under P and -P, so a sum does
-    # not depend on the other lists of the call.
-    red, ((ma, mb), (mc, md)) = reduce_tau(tau)
-    log_eta = _log_abs_eta(red, tol)
+    # 0 for the zero pair, on the torus of _reduced(tau); pairs move through
+    # the reduction matrix in integers.  G(-P) = G(P): each class is evaluated
+    # once, at min(P, -P) as green() evaluates it (i/n rounds as
+    # float(Fraction(i, n)) does), and filed under P and -P, so a sum does not
+    # depend on the other lists of the call.
+    red, ((ma, mb), (mc, md)), log_eta = reduced
     weights, phases, table = {}, {}, {(0, 0): 0.0}
     sums = []
     for pairs in pair_lists:
@@ -126,11 +138,11 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     coordinates); within a few rounding errors of it no digit survives and
     it raises ArithmeticError instead of returning noise.
     """
-    red, mat = reduce_tau(tau)
+    red, mat, log_eta = _reduced(tau, tol)
     moved = transport_point(z, mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
-    log_value = _log_green_unreduced(red, float(moved.a), float(moved.b), tol)
+    log_value = _log_green_unreduced(red, log_eta, float(moved.a), float(moved.b), tol)
     return GreenValue(_exp_log_green(log_value, red), log_value)
 
 
@@ -146,17 +158,28 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
 
     Compares sum_{Q in f^{-1}(w)} log G_source(Q, z) against
     log G_target(w, f(z)) and returns the absolute difference.  Raises if z
-    lies in the fiber of w (the left side would be log 0).
+    lies in the fiber of w (the left side would be log 0).  The fiber's
+    terms are formed as green(source, z - Q) forms them, from one reduction.
     """
+    # Q = preimage(w) + (i, j)/n over the kernel pairs: integers over one
+    # denominator, divided as float(Fraction) rounds (exactly for an exact z)
+    n = iso.degree
+    q0 = iso.preimage(w)
+    qa, qb = Fraction(q0.a), Fraction(q0.b)
+    den = math.lcm(qa.denominator, qb.denominator, n)
+    qa, qb = qa.numerator * den // qa.denominator, qb.numerator * den // qb.denominator
+    div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
+    red, ((ma, mb), (mc, md)), log_eta = _reduced(iso.source, tol)
     logs = []
-    for q_point in iso.fiber(w):
-        g = green(iso.source, z - q_point, tol)
-        if g.value == 0.0:
+    for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
+        pa = _mod_one(z.a - div_a((qa + i * den // n) % den, den), "a")
+        pb = _mod_one(z.b - div_b((qb + j * den // n) % den, den), "b")
+        a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
+        if a == 0 and b == 0:
             raise ValueError("z lies in the fiber of w; log G(Q, z) diverges")
-        logs.append(g.log_value)
+        logs.append(_log_green_unreduced(red, log_eta, float(a), float(b), tol))
     lhs = math.fsum(logs)
-    fz = iso.apply(z)
-    g_target = green(iso.target, fz - w, tol)
+    g_target = green(iso.target, iso.apply(z) - w, tol)
     if g_target.value == 0.0:
         raise ValueError("f(z) coincides with w; log G diverges")
     return abs(lhs - g_target.log_value)
@@ -169,7 +192,7 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     ArithmeticError, naming the kernel product, its log and the reduced Im
     tau, where the product is not a normal double.
     """
-    log_product = _log_green_sums(tau, n, [_torsion_pairs(n)], tol)[0]
+    log_product = _log_green_sums(_reduced(tau, tol), n, [_torsion_pairs(n)], tol)[0]
     return _exp_log_green(log_product, tau, "kernel product")
 
 
@@ -182,13 +205,20 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     normal double: kernel points at b = 1/2 or b = 0 push it out of range from
     a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
-    n = iso.degree
-    pairs = _kernel_pairs(iso.coordinate_matrix(), n)
-    log_product = _log_green_sums(iso.source, n, [pairs], tol)[0]
-    product = _exp_log_green(log_product, iso.source, "kernel product")
-    log_ratio = 2.0 * (log_norm_eta(iso.target, tol) - log_norm_eta(iso.source, tol))
-    predicted = math.sqrt(iso.degree) * math.exp(log_ratio)
-    return product, predicted
+    return _energies([iso], tol)[0]
+
+
+def _energies(isos: list[Isogeny], tol: SeriesTolerance) -> list[tuple[float, float]]:
+    # energy() of each of isogenies of one source and one degree, from one
+    # reduction, one log|eta| and one +-P table of the source
+    source, n = isos[0].source, isos[0].degree
+    reduced = _reduced(source, tol)
+    log_norm_source = 0.25 * math.log(reduced[0].im) + reduced[2]
+    log_products = _log_green_sums(
+        reduced, n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso in isos], tol)
+    return [(_exp_log_green(log_product, source, "kernel product"),
+             math.sqrt(n) * math.exp(2.0 * (log_norm_eta(iso.target, tol) - log_norm_source)))
+            for iso, log_product in zip(isos, log_products)]
 
 
 def energy_via_a(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> float:
@@ -207,14 +237,14 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     extrapolation in t^2 (t = 1e-2, 5e-3, 2.5e-3); the limit divided by
     sqrt(Im tau) must equal the omega_norm invariant.
     """
-    red, _ = reduce_tau(tau)
-    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * log_norm_eta(red, tol)))
+    red, _, log_eta = _reduced(tau, tol)
+    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * (0.25 * math.log(red.im) + log_eta)))
 
     def ratio(t: float) -> float:
         zc = t * direction
         b = zc.imag / red.im
         a = zc.real - b * red.re
-        return abs(zc) / math.exp(_log_green_unreduced(red, a % 1.0, b % 1.0, tol))
+        return abs(zc) / math.exp(_log_green_unreduced(red, log_eta, a % 1.0, b % 1.0, tol))
 
     r1 = ratio(1e-2)
     r2 = ratio(5e-3)
@@ -238,7 +268,8 @@ def green_mean_integral(tau: TauPoint, grid: int,
     """
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
-    return _log_green_unreduced(reduce_tau(tau)[0], 0.5, 0.5, tol) / (grid * grid)
+    red, _, log_eta = _reduced(tau, tol)
+    return _log_green_unreduced(red, log_eta, 0.5, 0.5, tol) / (grid * grid)
 
 
 def _midpoint_log_green_mean(tau: TauPoint, grid: int,

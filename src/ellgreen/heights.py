@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .green import _log_green_sums, green  # noqa: F401  perfbench/tests reads heights.green
+from .green import _log_green_sums, _reduced, green  # noqa: F401  perfbench/tests reads green
 from .lattice import (
     TauPoint,
     _exact_order_pairs,
@@ -77,7 +77,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _log_green_sums(tau, m, [_exact_order_pairs(m)], tol)[0]
+    return _log_green_sums(_reduced(tau, tol), m, [_exact_order_pairs(m)], tol)[0]
 
 
 def average_height_increment(n: int) -> float:
@@ -118,8 +118,10 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     reduced Im tau."""
     subs = cyclic_subgroups(n)
     count = len(subs)
-    log_delta_src = log_norm_delta(tau, tol)
-    green_sums = _log_green_sums(tau, n, [_subgroup_pairs(sub) for sub in subs], tol)
+    reduced = _reduced(tau, tol)  # log_norm_delta(tau) and the sums share it
+    log_delta_src = 24.0 * (0.25 * math.log(reduced[0].im) + reduced[2])
+    green_sums = _log_green_sums(reduced, n, [_subgroup_pairs(sub) for sub in subs], tol)
+    # the targets are reduced: reduce_tau returns each at its fast exit
     delta_drops = [(log_delta_src - log_norm_delta(_quotient_target(tau, sub)[0], tol)) / 12.0
                    for sub in subs]
     return AverageHeightReport(

@@ -106,6 +106,9 @@ def reduce_tau(tau: TauPoint) -> tuple[TauPoint, IntMatrix]:
     Re = -1/2 maps to Re = +1/2, and on the arc |tau'| = 1 the representative
     with Re tau' >= 0 is chosen.
     """
+    re, im = tau.re, tau.im
+    if -0.5 < re and re + 0.5 < 1.0 and re * re + im * im > 1.0:
+        return tau, _IDENTITY  # what the loop returns there: no step, no tie to break
     z = tau.z
     ma, mb, mc, md = 1, 0, 0, 1
     for _ in range(_REDUCE_MAX_STEPS):
@@ -291,44 +294,39 @@ class Isogeny:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        self.coordinate_matrix()
-
-    @property
-    def kernel(self) -> tuple[TorusPoint, ...]:
-        """The N points (i/N, j/N) that T = coordinate_matrix() sends to the
-        target lattice, sorted, zero first."""
-        n = self.degree
-        return tuple(_points(n, sorted(_kernel_pairs(self.coordinate_matrix(), n))))
-
-    def coordinate_matrix(self) -> IntMatrix:
-        """Integer matrix T sending source lattice coordinates to target
-        lattice coordinates, det T = degree.
-
-        Raises ValueError when scale gives a non-integer entry or another
-        determinant.
-        """
         tz = self.target
         cols = []
         for basis in (1.0 + 0.0j, self.source.z):
             c = self.scale * basis
             b = c.imag / tz.im
             a = c.real - b * tz.re
-            cols.append((a, b))
-        t11, t21 = _nearest_int(cols[0][0]), _nearest_int(cols[0][1])
-        t12, t22 = _nearest_int(cols[1][0]), _nearest_int(cols[1][1])
+            cols.append((_nearest_int(a), _nearest_int(b)))
+        (t11, t21), (t12, t22) = cols
         det = t11 * t22 - t12 * t21
         if det != self.degree:
             raise ValueError(f"coordinate map determinant {det} != degree {self.degree}")
-        return ((t11, t12), (t21, t22))
+        object.__setattr__(self, "_matrix", ((t11, t12), (t21, t22)))
+
+    @property
+    def kernel(self) -> tuple[TorusPoint, ...]:
+        """The N points (i/N, j/N) that T = coordinate_matrix() sends to the
+        target lattice, sorted, zero first."""
+        n = self.degree
+        return tuple(_points(n, sorted(_kernel_pairs(self._matrix, n))))
+
+    def coordinate_matrix(self) -> IntMatrix:
+        """Integer matrix T sending source lattice coordinates to target
+        lattice coordinates, det T = degree, derived once from the scale."""
+        return self._matrix
 
     def apply(self, point: TorusPoint) -> TorusPoint:
         """Image of a source point on the target torus, in lattice coordinates."""
-        (t11, t12), (t21, t22) = self.coordinate_matrix()
+        (t11, t12), (t21, t22) = self._matrix
         return TorusPoint(t11 * point.a + t12 * point.b, t21 * point.a + t22 * point.b)
 
     def preimage(self, point: TorusPoint) -> TorusPoint:
         """One preimage of a target point (the full fiber is preimage + kernel)."""
-        (t11, t12), (t21, t22) = self.coordinate_matrix()
+        (t11, t12), (t21, t22) = self._matrix
         n = self.degree
         a, b = point.a, point.b
         return TorusPoint((t22 * a - t12 * b) / n, (t11 * b - t21 * a) / n)

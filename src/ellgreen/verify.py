@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .green import (
+    _energies,
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
-    energy,
     energy_via_a,
     green,
     green_projection_check,
@@ -90,22 +90,27 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / abs(b)
 
 
+def _worse(*residuals: float) -> float:
+    # the largest residual, or NaN if any is NaN: max(0.0, nan) is 0.0, and a
+    # NaN residual must fail its check
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 # ---------------------------------------------------------------------------
 # individual criteria
 # ---------------------------------------------------------------------------
 
 def _check_cusp_identities(taus, tol) -> list[CheckResult]:
-    worst_product = 0.0
-    worst_deriv = 0.0
+    worst_product = worst_deriv = 0.0
     for tau in taus:
         dval = delta(tau, tol)
         t3, t4, t2 = _theta_constants(tau, tol)
         lhs1 = (t3 * t4 * t2) ** 8
-        worst_product = max(worst_product, abs(lhs1 - 256.0 * dval) / abs(256.0 * dval))
+        worst_product = _worse(worst_product, abs(lhs1 - 256.0 * dval) / abs(256.0 * dval))
         lhs2 = (cmath.exp(1j * math.pi * tau.z / 4.0)
                 * theta_dz((1.0 + tau.z) / 2.0, tau, tol)) ** 8
         rhs2 = _TWO_PI ** 8 * dval
-        worst_deriv = max(worst_deriv, abs(lhs2 - rhs2) / abs(rhs2))
+        worst_deriv = _worse(worst_deriv, abs(lhs2 - rhs2) / abs(rhs2))
     return [
         CheckResult(1, "theta-constant cusp identity on tau grid", worst_product, 1e-9),
         CheckResult(1, "theta-derivative cusp identity on tau grid", worst_deriv, 1e-9),
@@ -115,46 +120,42 @@ def _check_cusp_identities(taus, tol) -> list[CheckResult]:
 def _check_torsion_products(taus, n_max, tol) -> list[CheckResult]:
     out = []
     for i, tau in enumerate(taus):
-        worst = 0.0
-        for n in range(1, n_max + 1):
-            worst = max(worst, _rel(torsion_product(tau, n, tol), float(n)))
+        worst = _worse(0.0, *(_rel(torsion_product(tau, n, tol), float(n))
+                               for n in range(1, n_max + 1)))
         out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
 
 
-def _check_energy(taus, n_max, tol) -> list[CheckResult]:
+def _check_energy(taus, subgroups, n_max, tol) -> list[CheckResult]:
     out = []
     worst_a_form = 0.0
     for i, tau in enumerate(taus):
         worst = 0.0
         for n in range(1, n_max + 1):
-            for sub in cyclic_subgroups(n):
-                iso = quotient(tau, sub)
-                product, predicted = energy(iso, tol)
-                worst = max(worst, abs(product - predicted) / predicted)
-                worst_a_form = max(
-                    worst_a_form,
-                    abs(energy_via_a(iso, tol) - predicted) / predicted,
-                )
+            isos = [quotient(tau, sub) for sub in subgroups[n]]
+            for iso, (product, predicted) in zip(isos, _energies(isos, tol)):
+                worst = _worse(worst, abs(product - predicted) / predicted)
+                worst_a_form = _worse(worst_a_form,
+                                      abs(energy_via_a(iso, tol) - predicted) / predicted)
         out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
     out.append(CheckResult(3, "energy prediction matches differential-norm form",
                            worst_a_form, 1e-12))
     return out
 
 
-def _check_projection(rng, instances, tol) -> list[CheckResult]:
+def _check_projection(rng, subgroups, instances, tol) -> list[CheckResult]:
     worst = 0.0
     done = 0
     while done < instances:
         tau = sample_reduced_taus(rng, 1)[0]
         n = rng.randint(1, 8)
-        subs = cyclic_subgroups(n)
+        subs = subgroups[n]
         sub = subs[rng.randrange(len(subs))]
         iso = quotient(tau, sub)
         w = TorusPoint(Fraction(rng.randrange(16), 16), Fraction(rng.randrange(16), 16))
         z = TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         try:
-            worst = max(worst, green_projection_check(iso, w, z, tol))
+            worst = _worse(worst, green_projection_check(iso, w, z, tol))
         except ValueError:
             continue  # z fell in the fiber of w; draw again
         done += 1
@@ -165,35 +166,25 @@ def _check_projection(rng, instances, tol) -> list[CheckResult]:
 def _check_averages(taus, n_max, tol) -> list[CheckResult]:
     out = []
     for i, tau in enumerate(taus):
-        worst_green = 0.0
-        worst_delta = 0.0
-        for n in range(1, n_max + 1):
-            report = average_green_over_cyclic(tau, n, tol)
-            worst_green = max(worst_green, report.green_residual)
-            worst_delta = max(worst_delta, report.delta_residual)
+        reports = [average_green_over_cyclic(tau, n, tol) for n in range(1, n_max + 1)]
         out.append(CheckResult(
             5, f"average log-Green over cyclic subgroups, N<={n_max}, tau#{i}",
-            worst_green, 1e-7))
+            _worse(0.0, *(r.green_residual for r in reports)), 1e-7))
         out.append(CheckResult(
             5, f"average quotient discriminant drop, N<={n_max}, tau#{i}",
-            worst_delta, 1e-7))
+            _worse(0.0, *(r.delta_residual for r in reports)), 1e-7))
     return out
 
 
 def _check_exact_order_sums(taus, m_max, tol) -> list[CheckResult]:
-    worst = 0.0
-    for tau in taus:
-        for m in range(1, m_max + 1):
-            worst = max(worst, abs(exact_order_log_green(tau, m, tol)
-                                   - exact_order_log_green_expected(m)))
+    worst = _worse(0.0, *(abs(exact_order_log_green(tau, m, tol)
+                              - exact_order_log_green_expected(m))
+                          for tau in taus for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope
-    worst_closed = 0.0
-    for n in range(1, 61):
-        total = math.fsum(
-            exact_order_log_green_expected(m)
-            for m in range(2, n + 1) if n % m == 0
-        )
-        worst_closed = max(worst_closed, abs(total - math.log(n)))
+    worst_closed = _worse(0.0, *(
+        abs(math.fsum(exact_order_log_green_expected(m) for m in range(2, n + 1) if n % m == 0)
+            - math.log(n))
+        for n in range(1, 61)))
     return [
         CheckResult(6, f"exact-order log-Green sums, M<={m_max}", worst, 1e-10),
         CheckResult(6, "divisor sums of closed form telescope to log N, N<=60",
@@ -202,17 +193,15 @@ def _check_exact_order_sums(taus, m_max, tol) -> list[CheckResult]:
 
 
 def _check_weierstrass_grid(taus, tol) -> list[CheckResult]:
-    worst_thomae = 0.0
-    worst_disc = 0.0
-    worst_cross = 0.0
+    worst_thomae = worst_disc = worst_cross = 0.0
     for tau in taus:
-        worst_thomae = max(worst_thomae, max(thomae_residuals(tau, tol)))
+        worst_thomae = _worse(worst_thomae, *thomae_residuals(tau, tol))
         curve = eisenstein(tau, tol)
         periods = PeriodData(1.0 + 0j, tau.z, tau)
-        worst_disc = max(worst_disc, discriminant_relation_residual(periods, curve, tol))
+        worst_disc = _worse(worst_disc, discriminant_relation_residual(periods, curve, tol))
         cross = root_product_discriminant(half_period_roots(tau, tol))
-        worst_cross = max(worst_cross,
-                          abs(cross - curve.discriminant) / abs(curve.discriminant))
+        worst_cross = _worse(worst_cross,
+                             abs(cross - curve.discriminant) / abs(curve.discriminant))
     return [
         CheckResult(7, "Thomae half-period identities on tau grid", worst_thomae, 1e-9),
         CheckResult(7, "discriminant vs weight-12 form on tau grid", worst_disc, 1e-9),
@@ -221,14 +210,13 @@ def _check_weierstrass_grid(taus, tol) -> list[CheckResult]:
 
 
 def _check_two_torsion(taus, tol) -> list[CheckResult]:
-    worst = 0.0
-    worst_triple = 0.0
+    worst = worst_triple = 0.0
     for tau in taus:
-        worst = max(worst, max(two_torsion_green_check(tau, tol)))
+        worst = _worse(worst, *two_torsion_green_check(tau, tol))
         product = (green(tau, TorusPoint(Fraction(1, 2), 0), tol).value
                    * green(tau, TorusPoint(0, Fraction(1, 2)), tol).value
                    * green(tau, TorusPoint(Fraction(1, 2), Fraction(1, 2)), tol).value)
-        worst_triple = max(worst_triple, _rel(product, 2.0))
+        worst_triple = _worse(worst_triple, _rel(product, 2.0))
     return [
         CheckResult(8, "two-torsion Green values vs root formulas", worst, 1e-10),
         CheckResult(8, "two-torsion Green product = 2", worst_triple, 1e-9),
@@ -257,28 +245,25 @@ def _check_mean_integral(tol) -> list[CheckResult]:
 
 
 def _check_adjunction(taus, tol) -> list[CheckResult]:
-    worst = 0.0
-    for tau in taus:
-        worst = max(worst, a_invariant_adjunction_check(tau, tol))
+    worst = _worse(0.0, *(a_invariant_adjunction_check(tau, tol) for tau in taus))
     return [CheckResult(10, "adjunction limit matches closed-form norm", worst, 1e-10)]
 
 
 def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
-    worst = 0.0
-    worst_iters = 0
+    worst, worst_iters = 0.0, 0
     for _ in range(count):
         tau = TauPoint(rng.uniform(-0.499, 0.499), rng.uniform(1.01, 4.0))
         curve = eisenstein(tau, tol)
         periods = periods_from_curve(curve, tol)
         red, _ = reduce_tau(periods.tau)
-        worst = max(worst, abs(red.z - tau.z))
+        worst = _worse(worst, abs(red.z - tau.z))
         roots = _cubic_roots(curve)
         sa = cmath.sqrt(roots[0] - roots[2])
         sb = cmath.sqrt(roots[0] - roots[1])
         if (sb / sa).real < 0:
             sb = -sb
         _, iters = optimal_agm(sa, sb)
-        worst_iters = max(worst_iters, iters)
+        worst_iters = _worse(worst_iters, iters)
     return [
         CheckResult(11, f"period round trip over {count} random curves", worst, 1e-8),
         CheckResult(11, "AGM iteration count", float(worst_iters), 30.0),
@@ -298,22 +283,22 @@ def _brute_force_subgroup_sets(n: int) -> set[frozenset]:
     return seen
 
 
-def _check_combinatorics(count_max, contain_max) -> list[CheckResult]:
+def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]:
     mismatches = 0
     for n in range(1, count_max + 1):
-        enumerated = cyclic_subgroups(n)
+        enumerated = subgroups[n]
         brute = _brute_force_subgroup_sets(n)
         sets = {frozenset(_subgroup_pairs(sub)) for sub in enumerated}
         if len(enumerated) != cyclic_subgroup_count(n) or sets != brute:
             mismatches += 1
     contain_bad = 0
     for n in range(1, contain_max + 1):
-        big = [frozenset(_subgroup_pairs(sub)) for sub in cyclic_subgroups(n)]
+        big = [frozenset(_subgroup_pairs(sub)) for sub in subgroups[n]]
         for m in range(1, n + 1):
             if n % m:
                 continue
             expected = cyclic_subgroup_count(n) // cyclic_subgroup_count(m)
-            for small in cyclic_subgroups(m):
+            for small in subgroups[m]:
                 # the order-m pair (i, j) is the order-n pair (i*n/m, j*n/m)
                 spts = {(i * (n // m), j * (n // m)) for i, j in _subgroup_pairs(small)}
                 hits = sum(1 for pts in big if spts <= pts)
@@ -363,12 +348,16 @@ def run_checks(level: str = "full", seed: int = 7,
     taus3 = sample_reduced_taus(rng, 3 if full else 2)
     grid_taus = _tau_grid(5 if full else 3, 5.0 if full else 3.0)
     n_max = 12 if full else 6
+    count_max, contain_max = (30, 24) if full else (15, 10)
+    # each order's subgroups, enumerated once for criteria 3 (to n_max), 4
+    # (to 8) and 12 (to count_max, the largest)
+    subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
 
     results: list[CheckResult] = []
     results += _check_cusp_identities(grid_taus, tol)
     results += _check_torsion_products(taus3, n_max, tol)
-    results += _check_energy(taus3, n_max, tol)
-    results += _check_projection(rng, 100 if full else 20, tol)
+    results += _check_energy(taus3, subgroups, n_max, tol)
+    results += _check_projection(rng, subgroups, 100 if full else 20, tol)
     results += _check_averages(taus3, n_max, tol)
     results += _check_exact_order_sums(taus3, n_max, tol)
     results += _check_weierstrass_grid(grid_taus, tol)
@@ -376,6 +365,6 @@ def run_checks(level: str = "full", seed: int = 7,
     results += _check_mean_integral(tol)
     results += _check_adjunction(taus3, tol)
     results += _check_period_roundtrip(rng, 50 if full else 10, tol)
-    results += _check_combinatorics(30 if full else 15, 24 if full else 10)
+    results += _check_combinatorics(subgroups, count_max, contain_max)
     results += _check_faltings(tol)
     return results

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from ellgreen.green import (
     GreenValue,
+    _energies,
+    _log_green_sums,
     _log_green_unreduced,
+    _reduced,
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
     energy,
@@ -24,12 +27,13 @@ from ellgreen.lattice import (
     CyclicSubgroup,
     TauPoint,
     TorusPoint,
+    _kernel_pairs,
     cyclic_subgroups,
     multiplication_isogeny,
     quotient,
     transport_point,
 )
-from ellgreen.modular import DEFAULT_TOL
+from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, log_norm_eta
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -99,7 +103,7 @@ def test_green_reduction_matches_unreduced_evaluation():
     # at an unreduced marking and compare with the reduced path
     tau = TauPoint(0.3, 0.4)
     p = TorusPoint(0.25, 0.6)
-    raw = _log_green_unreduced(tau, 0.25, 0.6, DEFAULT_TOL)
+    raw = _log_green_unreduced(tau, _log_abs_eta(tau, DEFAULT_TOL), 0.25, 0.6, DEFAULT_TOL)
     assert abs(raw - green(tau, p).log_value) < 1e-9
 
 
@@ -252,6 +256,21 @@ def test_energy_multiplication_map_gives_order():
     assert abs(product - 3.0) < 1e-8
 
 
+@pytest.mark.parametrize("tau", [TAU, TauPoint(0.73, 0.11)], ids=["reduced", "unreduced"])
+def test_energies_of_one_source_equal_one_call_each(tau):
+    # one +-P table for all subgroups of an order gives each isogeny's energy
+    # exactly, and both equal the formula from a reduction per isogeny
+    for n in range(1, 13):
+        isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
+        shared = _energies(isos, DEFAULT_TOL)
+        assert shared == [energy(iso) for iso in isos]
+        for iso, got in zip(isos, shared):
+            pairs = _kernel_pairs(iso.coordinate_matrix(), n)
+            log_product = _log_green_sums(_reduced(tau, DEFAULT_TOL), n, [pairs], DEFAULT_TOL)[0]
+            log_ratio = 2.0 * (log_norm_eta(iso.target) - log_norm_eta(tau))
+            assert got == (math.exp(log_product), math.sqrt(n) * math.exp(log_ratio))
+
+
 def test_energy_via_a_matches_predicted():
     for sub in cyclic_subgroups(3):
         iso = quotient(TauPoint(0.0, 2.0), sub)
@@ -286,6 +305,40 @@ def test_projection_identity_randomized(rng):
         w = TorusPoint(Fraction(rng.randrange(16), 16), Fraction(rng.randrange(16), 16))
         z = TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         assert green_projection_check(iso, w, z) < 1e-8
+
+
+def _projection_by_green(iso, w, z):
+    # the projection residual from N + 1 green() values, one per fiber point
+    # and one on the target
+    lhs = math.fsum(green(iso.source, z - q).log_value for q in iso.fiber(w))
+    return abs(lhs - green(iso.target, iso.apply(z) - w).log_value)
+
+
+def test_projection_check_equals_the_per_point_green_formula(rng):
+    # 50 seeded instances, a third at an unreduced source and every fifth
+    # with an exact z: the one-reduction fiber sum rounds as green() does
+    for k in range(50):
+        tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.0))
+        if k % 3 == 0:
+            tau = TauPoint.from_complex(-1 / (tau.z + rng.randint(-2, 2)))
+        n = rng.randint(1, 12)
+        subs = cyclic_subgroups(n)
+        iso = quotient(tau, subs[rng.randrange(len(subs))])
+        den = rng.choice([1, 2, 7, 12, 16])
+        w = TorusPoint(Fraction(rng.randrange(den), den), Fraction(rng.randrange(den), den))
+        if k % 5 == 0:
+            z = TorusPoint(Fraction(rng.randrange(1, 97), 97), Fraction(rng.randrange(1, 97), 97))
+        else:
+            z = TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        assert green_projection_check(iso, w, z) == _projection_by_green(iso, w, z)
+
+
+def test_projection_rejects_exact_points_of_any_fiber():
+    iso = quotient(TauPoint(0.73, 0.11), CyclicSubgroup(6, 1, 2))
+    w = TorusPoint(Fraction(1, 3), Fraction(2, 7))
+    for z in iso.fiber(w):
+        with pytest.raises(ValueError, match="fiber"):
+            green_projection_check(iso, w, z)
 
 
 def test_projection_rejects_fiber_point():

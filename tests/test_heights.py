@@ -16,7 +16,7 @@ from ellgreen.heights import (
     exact_order_log_green_expected,
     faltings_height,
 )
-from ellgreen.green import _log_green_sums, energy, green, torsion_product
+from ellgreen.green import _log_green_sums, _reduced, energy, green, torsion_product
 from ellgreen.lattice import (
     CyclicSubgroup,
     TauPoint,
@@ -286,9 +286,12 @@ def test_kernel_sums_equal_green_at_plus_minus_representatives(n):
 def test_shared_table_sums_equal_one_list_calls(tau, n):
     # a sum depends on its own list only, not on the lists sharing the table
     lists = [_subgroup_pairs(sub) for sub in cyclic_subgroups(n)]
-    alone = [_log_green_sums(tau, n, [pairs], DEFAULT_TOL)[0] for pairs in lists]
-    assert _log_green_sums(tau, n, lists, DEFAULT_TOL) == alone
-    assert _log_green_sums(tau, n, lists[::-1], DEFAULT_TOL)[::-1] == alone
+    def sums(pair_lists):
+        return _log_green_sums(_reduced(tau, DEFAULT_TOL), n, pair_lists, DEFAULT_TOL)
+
+    alone = [sums([pairs])[0] for pairs in lists]
+    assert sums(lists) == alone
+    assert sums(lists[::-1])[::-1] == alone
 
 
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(monkeypatch):

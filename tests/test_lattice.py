@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellgreen.lattice import (
     CyclicSubgroup,
@@ -139,6 +139,76 @@ def test_reduce_tau_idempotent(re, im):
     again, mat = reduce_tau(red)
     assert again == red
     assert mat == ((1, 0), (0, 1))
+
+
+def _reduce_tau_by_the_loop(tau):
+    # reduce_tau without its fast exit for interior points
+    z = tau.z
+    ma, mb, mc, md = 1, 0, 0, 1
+    for _ in range(512):
+        n = math.floor(z.real + 0.5)
+        if n != 0:
+            z -= n
+            ma, mb = ma - n * mc, mb - n * md
+        if z.real * z.real + z.imag * z.imag < 1.0:
+            z = -1.0 / z
+            ma, mb, mc, md = -mc, -md, ma, mb
+        else:
+            break
+    if z.real == -0.5:
+        z += 1
+        ma, mb = ma + mc, mb + md
+    if z.real * z.real + z.imag * z.imag == 1.0 and z.real < 0.0:
+        z = -1.0 / z
+        ma, mb, mc, md = -mc, -md, ma, mb
+    return TauPoint.from_complex(z), ((ma, mb), (mc, md))
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.5, 3.0), st.booleans())
+@example(-0.5, 1.2, False)
+@example(0.5, 1.2, False)
+@example(0.49999999999999994, 1.5, False)  # re + 0.5 rounds up to 1: the loop shifts
+@example(-0.49999999999999994, 1.5, False)
+@example(0.0, 1.0, False)
+@example(-0.5, 0.0, True)
+@example(0.5, 0.0, True)
+@example(-0.3, 0.0, True)
+@settings(max_examples=300)
+def test_reduce_tau_fast_exit_agrees_with_the_loop(re, im, on_arc):
+    # on_arc puts tau on (or within rounding of) the unit circle |tau| = 1
+    tau = TauPoint(re, math.sqrt(1.0 - re * re) if on_arc else im)
+    assert reduce_tau(tau) == _reduce_tau_by_the_loop(tau)
+
+
+def _matrix_from_scale(iso):
+    # the integer matrix as derived from the float scale, column by column
+    cols = []
+    for basis in (1.0 + 0.0j, iso.source.z):
+        c = iso.scale * basis
+        b = c.imag / iso.target.im
+        cols.append((round(c.real - b * iso.target.re), round(b)))
+    (t11, t21), (t12, t22) = cols
+    return (t11, t12), (t21, t22)
+
+
+@pytest.mark.parametrize("tau", [TauPoint(0.21, 1.73), TauPoint(0.73, 0.11)],
+                         ids=["reduced", "unreduced"])
+def test_isogeny_kernel_and_fiber_lists_from_the_stored_matrix(tau):
+    # kernel and fiber read the matrix stored at construction; they equal the
+    # lists built from the scale's matrix by brute force
+    w = TorusPoint(Fraction(1, 3), Fraction(2, 7))
+    isos = [quotient(tau, sub) for n in range(1, 13) for sub in cyclic_subgroups(n)]
+    isos += [multiplication_isogeny(tau, n) for n in range(1, 5)]
+    for iso in isos:
+        (t11, t12), (t21, t22) = t = _matrix_from_scale(iso)
+        n = iso.degree
+        assert iso.coordinate_matrix() == t
+        kernel = tuple(TorusPoint(Fraction(i, n), Fraction(j, n))
+                       for i in range(n) for j in range(n)
+                       if (t11 * i + t12 * j) % n == 0 and (t21 * i + t22 * j) % n == 0)
+        assert iso.kernel == kernel
+        w0 = TorusPoint((t22 * w.a - t12 * w.b) / n, (t11 * w.b - t21 * w.a) / n)
+        assert iso.fiber(w) == [w0 + k for k in kernel]
 
 
 def test_transport_point_round_trips_under_translation():
