@@ -209,8 +209,8 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
 
 
 def _energies(isos: list[Isogeny], tol: SeriesTolerance) -> list[tuple[float, float]]:
-    # energy() of each of isogenies of one source and one degree, from one
-    # reduction, one log|eta| and one +-P table of the source
+    # energy() of each isogeny in a list with one source and one degree, from
+    # one reduction, one log|eta| and one +-P table of the source
     source, n = isos[0].source, isos[0].degree
     reduced = _reduced(source, tol)
     log_norm_source = 0.25 * math.log(reduced[0].im) + reduced[2]

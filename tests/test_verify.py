@@ -8,7 +8,7 @@ import pytest
 
 import ellgreen.verify as verify
 from ellgreen.cli import main
-from ellgreen.lattice import TauPoint
+from ellgreen.lattice import CyclicSubgroup, TauPoint, cyclic_subgroups
 from ellgreen.modular import DEFAULT_TOL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,3 +56,18 @@ def test_verify_prints_the_same_in_a_fresh_interpreter(level, capsys):
                            capture_output=True, text=True, env=env, timeout=120)
     assert fresh.returncode == 0, fresh.stderr
     assert outs[0] == outs[1] == fresh.stdout
+
+
+@pytest.mark.parametrize("tamper", ["drop", "duplicate", "foreign"])
+def test_subgroup_enumeration_check_counts_a_bad_list(tamper):
+    # criterion 12 matches the enumeration against the brute force one point
+    # set at a time: a missing, repeated or foreign subgroup is a mismatch
+    subgroups = {n: cyclic_subgroups(n) for n in range(1, 9)}
+    six = subgroups[6] = list(subgroups[6])
+    if tamper == "drop":
+        six.pop()
+    else:
+        six[-1] = six[0] if tamper == "duplicate" else CyclicSubgroup(3, 1, 0)
+    enumeration, containment = verify._check_combinatorics(subgroups, 8, 0)
+    assert enumeration.residual == 1.0 and not enumeration.passed
+    assert containment.passed
