@@ -289,7 +289,7 @@ def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]
         enumerated = subgroups[n]
         brute = _brute_force_subgroup_sets(n)
         stray = 0
-        for sub in enumerated:  # one point set at a time, each taking its brute set away
+        for sub in enumerated:  # one set at a time keeps the peak low; each removes its match
             pts = frozenset(_subgroup_pairs(sub))
             stray += pts not in brute
             brute.discard(pts)
