@@ -85,14 +85,15 @@ def _log_green_unreduced(tau: TauPoint, log_eta: float, a: float, b: float,
     return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol)) - log_eta
 
 
-_Reduced = tuple[TauPoint, IntMatrix, float]
+_Reduced = tuple[TauPoint, IntMatrix, float, dict]
 
 
 def _reduced(tau: TauPoint, tol: SeriesTolerance) -> _Reduced:
-    # tau reduced, the reduction matrix and log|eta| at the reduced tau: what
+    # tau reduced, the reduction matrix, log|eta| at the reduced tau and, per n,
+    # the weight rows, phase rows and +-P table that _log_green_sums fills: what
     # every sum over one torus shares.  log ||eta|| = log(Im)/4 + log|eta| there.
     red, mat = reduce_tau(tau)
-    return red, mat, _log_abs_eta(red, tol)
+    return red, mat, _log_abs_eta(red, tol), {}
 
 
 def _log_green_sums(reduced: _Reduced, n: int, pair_lists: list[list[tuple[int, int]]],
@@ -101,25 +102,33 @@ def _log_green_sums(reduced: _Reduced, n: int, pair_lists: list[list[tuple[int, 
     # 0 for the zero pair, on the torus of _reduced(tau); pairs move through
     # the reduction matrix in integers.  G(-P) = G(P): each class is evaluated
     # once, at min(P, -P) as green() evaluates it (i/n rounds as
-    # float(Fraction(i, n)) does), and filed under P and -P, so a sum does not
-    # depend on the other lists of the call.
-    red, ((ma, mb), (mc, md)), log_eta = reduced
-    weights, phases, table = {}, {}, {(0, 0): 0.0}
+    # float(Fraction(i, n)) does), and filed under P and -P in the record's
+    # table for n, so a sum depends neither on the other lists of the call nor
+    # on the earlier calls with the same record.  The table keys (a, b) as the
+    # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
+    red, ((ma, mb), (mc, md)), log_eta, tables = reduced
+    if n not in tables:
+        tables[n] = {}, {}, {0: 0.0}
+    weights, phases, table = tables[n]
     sums = []
     for pairs in pair_lists:
         logs = []
         for i, j in pairs:
-            p = (ma * i - mb * j) % n, (md * j - mc * i) % n
-            if p not in table:
-                a, b = min(p, (-p[0] % n, -p[1] % n))
+            a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
+            key = a * n + b
+            if key not in table:
+                a, b = min((a, b), (-a % n, -b % n))
                 if b not in weights:
                     weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
                 if a not in phases:
                     phases[a] = _phase_row((a / n + 0.5) % 1.0, red, tol)
-                table[a, b] = table[-a % n, -b % n] = (
+                table[a * n + b] = table[(-a % n) * n + (-b % n)] = (
                     log_abs_theta_shifted(weights[b], phases[a]) - log_eta)
-            logs.append(table[p])
+            logs.append(table[key])
         sums.append(math.fsum(logs))
+    if len(table) == n * n:  # every class is in: no later call needs a row
+        weights.clear()
+        phases.clear()
     return sums
 
 
@@ -138,7 +147,7 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     coordinates); within a few rounding errors of it no digit survives and
     it raises ArithmeticError instead of returning noise.
     """
-    red, mat, log_eta = _reduced(tau, tol)
+    red, mat, log_eta, _ = _reduced(tau, tol)
     moved = transport_point(z, mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
@@ -169,7 +178,7 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     den = math.lcm(qa.denominator, qb.denominator, n)
     qa, qb = qa.numerator * den // qa.denominator, qb.numerator * den // qb.denominator
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
-    red, ((ma, mb), (mc, md)), log_eta = _reduced(iso.source, tol)
+    red, ((ma, mb), (mc, md)), log_eta, _ = _reduced(iso.source, tol)
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
         pa = _mod_one(z.a - div_a((qa + i * den // n) % den, den), "a")
@@ -192,7 +201,12 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     ArithmeticError, naming the kernel product, its log and the reduced Im
     tau, where the product is not a normal double.
     """
-    log_product = _log_green_sums(_reduced(tau, tol), n, [_torsion_pairs(n)], tol)[0]
+    return _torsion_product(tau, _reduced(tau, tol), n, tol)
+
+
+def _torsion_product(tau: TauPoint, reduced: _Reduced, n: int, tol: SeriesTolerance) -> float:
+    # torsion_product() from the record reduced = _reduced(tau, tol)
+    log_product = _log_green_sums(reduced, n, [_torsion_pairs(n)], tol)[0]
     return _exp_log_green(log_product, tau, "kernel product")
 
 
@@ -205,14 +219,15 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     normal double: kernel points at b = 1/2 or b = 0 push it out of range from
     a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
-    return _energies([iso], tol)[0]
+    return _energies(_reduced(iso.source, tol), [iso], tol)[0]
 
 
-def _energies(isos: list[Isogeny], tol: SeriesTolerance) -> list[tuple[float, float]]:
+def _energies(reduced: _Reduced, isos: list[Isogeny],
+              tol: SeriesTolerance) -> list[tuple[float, float]]:
     # energy() of each isogeny in a list with one source and one degree, from
-    # one reduction, one log|eta| and one +-P table of the source
+    # the record reduced = _reduced(source, tol): one reduction, one log|eta|
+    # and one +-P table of the source
     source, n = isos[0].source, isos[0].degree
-    reduced = _reduced(source, tol)
     log_norm_source = 0.25 * math.log(reduced[0].im) + reduced[2]
     log_products = _log_green_sums(
         reduced, n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso in isos], tol)
@@ -237,7 +252,7 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     extrapolation in t^2 (t = 1e-2, 5e-3, 2.5e-3); the limit divided by
     sqrt(Im tau) must equal the omega_norm invariant.
     """
-    red, _, log_eta = _reduced(tau, tol)
+    red, _, log_eta, _ = _reduced(tau, tol)
     a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * (0.25 * math.log(red.im) + log_eta)))
 
     def ratio(t: float) -> float:
@@ -268,7 +283,7 @@ def green_mean_integral(tau: TauPoint, grid: int,
     """
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
-    red, _, log_eta = _reduced(tau, tol)
+    red, _, log_eta, _ = _reduced(tau, tol)
     return _log_green_unreduced(red, log_eta, 0.5, 0.5, tol) / (grid * grid)
 
 

@@ -12,8 +12,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .green import _log_green_sums, _reduced, green  # noqa: F401  perfbench/tests reads green
+from .green import (
+    _Reduced,
+    _log_green_sums,
+    _reduced,
+    green,  # noqa: F401  perfbench/tests reads green
+)
 from .lattice import (
+    CyclicSubgroup,
     TauPoint,
     _exact_order_pairs,
     _quotient_target,
@@ -77,7 +83,12 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _log_green_sums(_reduced(tau, tol), m, [_exact_order_pairs(m)], tol)[0]
+    return _exact_order_log_green(_reduced(tau, tol), m, tol)
+
+
+def _exact_order_log_green(reduced: _Reduced, m: int, tol: SeriesTolerance) -> float:
+    # exact_order_log_green() from the record reduced = _reduced(tau, tol)
+    return _log_green_sums(reduced, m, [_exact_order_pairs(m)], tol)[0]
 
 
 def average_height_increment(n: int) -> float:
@@ -117,8 +128,15 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     route through the quotient tori.  Both are sums of logs, finite at any
     reduced Im tau."""
     subs = cyclic_subgroups(n)
+    return _average_green_over_cyclic(tau, _reduced(tau, tol), n, subs, tol)
+
+
+def _average_green_over_cyclic(tau: TauPoint, reduced: _Reduced, n: int,
+                               subs: list[CyclicSubgroup],
+                               tol: SeriesTolerance) -> AverageHeightReport:
+    # average_green_over_cyclic() from the record reduced = _reduced(tau, tol),
+    # which log_norm_delta(tau) and the sums share, and subs = cyclic_subgroups(n)
     count = len(subs)
-    reduced = _reduced(tau, tol)  # log_norm_delta(tau) and the sums share it
     log_delta_src = 24.0 * (0.25 * math.log(reduced[0].im) + reduced[2])
     green_sums = _log_green_sums(reduced, n, [_subgroup_pairs(sub) for sub in subs], tol)
     # the targets are reduced: reduce_tau returns each at its fast exit

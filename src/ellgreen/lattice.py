@@ -81,13 +81,16 @@ class TorusPoint:
 
 
 def _mod_one(x: Coord, name: str) -> Coord:
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        # torsion points mostly arrive reduced; the test is cheaper than % 1
-        return x if 0 <= x.numerator < x.denominator else x % 1
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"non-finite coordinate {name} = {x!r}")
+    # floats are tested first: isinstance(x, Fraction) goes through ABCMeta
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite coordinate {name} = {x!r}")
+    else:
+        if isinstance(x, int):
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            # torsion points mostly arrive reduced; the test is cheaper than % 1
+            return x if 0 <= x.numerator < x.denominator else x % 1
     x = x % 1
     # float % 1 rounds up to 1.0 for tiny negative x; 0.0 is the same class
     return 0.0 if x == 1.0 else x

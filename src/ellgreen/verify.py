@@ -17,17 +17,18 @@ from fractions import Fraction
 from .green import (
     _energies,
     _midpoint_log_green_mean,
+    _reduced,
+    _torsion_product,
     a_invariant_adjunction_check,
     energy_via_a,
     green,
     green_projection_check,
-    torsion_product,
 )
 from .heights import (
     CurveHeightInput,
-    average_green_over_cyclic,
+    _average_green_over_cyclic,
+    _exact_order_log_green,
     cyclic_subgroup_count,
-    exact_order_log_green,
     exact_order_log_green_expected,
     faltings_height,
 )
@@ -117,23 +118,23 @@ def _check_cusp_identities(taus, tol) -> list[CheckResult]:
     ]
 
 
-def _check_torsion_products(taus, n_max, tol) -> list[CheckResult]:
+def _check_torsion_products(sampled, n_max, tol) -> list[CheckResult]:
     out = []
-    for i, tau in enumerate(taus):
-        worst = _worse(0.0, *(_rel(torsion_product(tau, n, tol), float(n))
+    for i, (tau, reduced) in enumerate(sampled):
+        worst = _worse(0.0, *(_rel(_torsion_product(tau, reduced, n, tol), float(n))
                                for n in range(1, n_max + 1)))
         out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
 
 
-def _check_energy(taus, subgroups, n_max, tol) -> list[CheckResult]:
+def _check_energy(sampled, subgroups, n_max, tol) -> list[CheckResult]:
     out = []
     worst_a_form = 0.0
-    for i, tau in enumerate(taus):
+    for i, (tau, reduced) in enumerate(sampled):
         worst = 0.0
         for n in range(1, n_max + 1):
             isos = [quotient(tau, sub) for sub in subgroups[n]]
-            for iso, (product, predicted) in zip(isos, _energies(isos, tol)):
+            for iso, (product, predicted) in zip(isos, _energies(reduced, isos, tol)):
                 worst = _worse(worst, abs(product - predicted) / predicted)
                 worst_a_form = _worse(worst_a_form,
                                       abs(energy_via_a(iso, tol) - predicted) / predicted)
@@ -163,10 +164,11 @@ def _check_projection(rng, subgroups, instances, tol) -> list[CheckResult]:
                         worst, 1e-10)]
 
 
-def _check_averages(taus, n_max, tol) -> list[CheckResult]:
+def _check_averages(sampled, subgroups, n_max, tol) -> list[CheckResult]:
     out = []
-    for i, tau in enumerate(taus):
-        reports = [average_green_over_cyclic(tau, n, tol) for n in range(1, n_max + 1)]
+    for i, (tau, reduced) in enumerate(sampled):
+        reports = [_average_green_over_cyclic(tau, reduced, n, subgroups[n], tol)
+                   for n in range(1, n_max + 1)]
         out.append(CheckResult(
             5, f"average log-Green over cyclic subgroups, N<={n_max}, tau#{i}",
             _worse(0.0, *(r.green_residual for r in reports)), 1e-7))
@@ -176,10 +178,10 @@ def _check_averages(taus, n_max, tol) -> list[CheckResult]:
     return out
 
 
-def _check_exact_order_sums(taus, m_max, tol) -> list[CheckResult]:
-    worst = _worse(0.0, *(abs(exact_order_log_green(tau, m, tol)
+def _check_exact_order_sums(sampled, m_max, tol) -> list[CheckResult]:
+    worst = _worse(0.0, *(abs(_exact_order_log_green(reduced, m, tol)
                               - exact_order_log_green_expected(m))
-                          for tau in taus for m in range(1, m_max + 1)))
+                          for _, reduced in sampled for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope
     worst_closed = _worse(0.0, *(
         abs(math.fsum(exact_order_log_green_expected(m) for m in range(2, n + 1) if n % m == 0)
@@ -353,17 +355,21 @@ def run_checks(level: str = "full", seed: int = 7,
     grid_taus = _tau_grid(5 if full else 3, 5.0 if full else 3.0)
     n_max = 12 if full else 6
     count_max, contain_max = (30, 24) if full else (15, 10)
-    # each order's subgroups, enumerated once for criteria 3 (to n_max), 4
-    # (to 8) and 12 (to count_max, the largest)
+    # each order's subgroups, enumerated once for criteria 3 and 5 (to n_max),
+    # 4 (to 8) and 12 (to count_max, the largest)
     subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
+    # one record per sampled tau: criteria 2, 3, 5 and 6 share its reduction,
+    # log|eta| and +-P tables
+    sampled = [(tau, _reduced(tau, tol)) for tau in taus3]
 
     results: list[CheckResult] = []
     results += _check_cusp_identities(grid_taus, tol)
-    results += _check_torsion_products(taus3, n_max, tol)
-    results += _check_energy(taus3, subgroups, n_max, tol)
+    results += _check_torsion_products(sampled, n_max, tol)
+    results += _check_energy(sampled, subgroups, n_max, tol)
     results += _check_projection(rng, subgroups, 100 if full else 20, tol)
-    results += _check_averages(taus3, n_max, tol)
-    results += _check_exact_order_sums(taus3, n_max, tol)
+    results += _check_averages(sampled, subgroups, n_max, tol)
+    results += _check_exact_order_sums(sampled, n_max, tol)
+    del sampled  # the tables go before criterion 12 builds its point sets
     results += _check_weierstrass_grid(grid_taus, tol)
     results += _check_two_torsion(grid_taus, tol)
     results += _check_mean_integral(tol)

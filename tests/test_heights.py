@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ellgreen.heights import (
     CurveHeightInput,
+    _average_green_over_cyclic,
+    _exact_order_log_green,
     average_green_over_cyclic,
     average_height_increment,
     cyclic_log_green_constant,
@@ -16,12 +19,23 @@ from ellgreen.heights import (
     exact_order_log_green_expected,
     faltings_height,
 )
-from ellgreen.green import _log_green_sums, _reduced, energy, green, torsion_product
+from ellgreen.green import (
+    _energies,
+    _log_green_sums,
+    _reduced,
+    _torsion_product,
+    energy,
+    green,
+    torsion_product,
+)
 from ellgreen.lattice import (
     CyclicSubgroup,
     TauPoint,
     TorusPoint,
+    _exact_order_pairs,
+    _kernel_pairs,
     _subgroup_pairs,
+    _torsion_pairs,
     cyclic_subgroups,
     exact_order_points,
     mult_by_n_kernel,
@@ -292,6 +306,40 @@ def test_shared_table_sums_equal_one_list_calls(tau, n):
     alone = [sums([pairs])[0] for pairs in lists]
     assert sums(lists) == alone
     assert sums(lists[::-1])[::-1] == alone
+
+
+@pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
+def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
+    # run_checks hands one _reduced record per tau to the torsion (2), kernel
+    # (3), subgroup (5) and exact-order (6) sums at N <= 12: in any call order,
+    # each call's sums equal (==) those from a fresh record
+    calls = []
+    for n in range(1, 13):
+        subs = cyclic_subgroups(n)
+        calls += [
+            (n, [_torsion_pairs(n)]),
+            (n, [_kernel_pairs(quotient(tau, sub).coordinate_matrix(), n) for sub in subs]),
+            (n, [_subgroup_pairs(sub) for sub in subs]),
+            (n, [_exact_order_pairs(n)]),
+        ]
+    fresh = [_log_green_sums(_reduced(tau, DEFAULT_TOL), n, lists, DEFAULT_TOL)
+             for n, lists in calls]
+    in_order = list(range(len(calls)))
+    for order in (in_order, in_order[::-1], random.Random(5).sample(in_order, len(calls))):
+        shared = _reduced(tau, DEFAULT_TOL)
+        for k in order:
+            n, lists = calls[k]
+            assert _log_green_sums(shared, n, lists, DEFAULT_TOL) == fresh[k]
+    # the cores on one record equal the public functions, each on its own
+    shared = _reduced(tau, DEFAULT_TOL)
+    for n in range(12, 0, -1):
+        subs = cyclic_subgroups(n)
+        isos = [quotient(tau, sub) for sub in subs]
+        assert _exact_order_log_green(shared, n, DEFAULT_TOL) == exact_order_log_green(tau, n)
+        assert (_average_green_over_cyclic(tau, shared, n, subs, DEFAULT_TOL)
+                == average_green_over_cyclic(tau, n))
+        assert _energies(shared, isos, DEFAULT_TOL) == [energy(iso) for iso in isos]
+        assert _torsion_product(tau, shared, n, DEFAULT_TOL) == torsion_product(tau, n)
 
 
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(monkeypatch):

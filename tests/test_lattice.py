@@ -69,6 +69,18 @@ def test_torus_point_float_coordinates_stay_below_one():
     assert p.is_zero
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_torus_point_coordinate_kinds_and_non_finite_floats(bad):
+    # ints become Fractions, floats stay floats, and a non-finite float is
+    # named with its coordinate
+    p = TorusPoint(3, 2.5)
+    assert (p.a, type(p.a), p.b, type(p.b)) == (0, Fraction, 0.5, float)
+    with pytest.raises(ValueError, match=f"non-finite coordinate a = {bad!r}$"):
+        TorusPoint(bad, 0.0)
+    with pytest.raises(ValueError, match=f"non-finite coordinate b = {bad!r}$"):
+        TorusPoint(Fraction(1, 3), bad)
+
+
 def test_torus_point_zero_and_arithmetic():
     zero = TorusPoint(0, 0)
     assert zero.is_zero

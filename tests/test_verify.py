@@ -2,16 +2,19 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ellgreen.verify as verify
 from ellgreen.cli import main
+from ellgreen.green import _reduced
 from ellgreen.lattice import CyclicSubgroup, TauPoint, cyclic_subgroups
-from ellgreen.modular import DEFAULT_TOL
+from ellgreen.modular import DEFAULT_TOL, log_abs_theta_shifted
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CLI = "import sys; from ellgreen.cli import main; sys.exit(main(sys.argv[1:]))"
 TAUS = [TauPoint(0.1, 1.2), TauPoint(-0.3, 1.4), TauPoint(0.2, 1.9)]
 
@@ -25,9 +28,10 @@ def test_worse_keeps_the_largest_residual_and_any_nan():
 
 def test_a_nan_torsion_product_fails_criterion_2(monkeypatch):
     # NaN at N = 2 only: the fold must keep it past the finite N = 3
-    monkeypatch.setattr(verify, "torsion_product",
-                        lambda tau, n, tol: math.nan if n == 2 else float(n))
-    results = verify._check_torsion_products(TAUS, 3, DEFAULT_TOL)
+    monkeypatch.setattr(verify, "_torsion_product",
+                        lambda tau, reduced, n, tol: math.nan if n == 2 else float(n))
+    sampled = [(tau, _reduced(tau, DEFAULT_TOL)) for tau in TAUS]
+    results = verify._check_torsion_products(sampled, 3, DEFAULT_TOL)
     assert [r.criterion for r in results] == [2, 2, 2]
     assert not any(r.passed for r in results)
     assert all("FAIL" in r.line() for r in results)
@@ -56,6 +60,41 @@ def test_verify_prints_the_same_in_a_fresh_interpreter(level, capsys):
                            capture_output=True, text=True, env=env, timeout=120)
     assert fresh.returncode == 0, fresh.stderr
     assert outs[0] == outs[1] == fresh.stdout
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_prints_the_committed_output(level, capsys):
+    # the default output of a fixed (level, seed) does not change: the golden
+    # files hold what `ellgreen verify --level <level> --seed 7` printed
+    assert main(["verify", "--level", level, "--seed", "7"]) == 0
+    golden = (GOLDEN / f"verify-{level}-seed7.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
+def test_full_run_shares_one_table_per_tau_and_order(monkeypatch):
+    # criteria 2, 3, 5 and 6 share one +-P table per (tau, N) and one subgroup
+    # list per order: at seed 3 a full run evaluates 1760 shifted theta sums
+    # and enumerates the subgroups of each order up to 30 once
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    originals = {"log_abs_theta_shifted": log_abs_theta_shifted,
+                 "cyclic_subgroups": cyclic_subgroups}
+    # every module that binds the name (ellgreen.green, as an attribute of the
+    # package, is the function green)
+    modules = [m for name, m in sys.modules.items() if name.startswith("ellgreen.")]
+    for module in modules:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    verify.run_checks("full", 3)
+    assert counts["log_abs_theta_shifted"] <= 1760
+    assert counts["cyclic_subgroups"] == 30
 
 
 @pytest.mark.parametrize("tamper", ["drop", "duplicate", "foreign"])
