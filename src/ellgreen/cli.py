@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -81,9 +82,16 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _strict(value):
+    # RFC 8259 has no inf or nan: a non-finite float becomes the string the table prints
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def render(record: OutputRecord, as_json: bool) -> str:
     if as_json:
-        return json.dumps(asdict(record), indent=2)
+        return json.dumps(_strict(asdict(record)), indent=2, allow_nan=False)
     lines = [f"command: {record.command}"]
     for section in ("inputs", "results", "residuals"):
         entries = getattr(record, section)
@@ -284,8 +292,8 @@ def cmd_faltings(args, tol) -> OutputRecord:
 def cmd_verify(args, tol) -> int:
     results = run_checks(level=args.level, seed=args.seed, tol=tol)
     if args.json:
-        payload = [{**asdict(r), "passed": r.passed} for r in results]
-        print(json.dumps(payload, indent=2))
+        payload = [_strict({**asdict(r), "passed": r.passed}) for r in results]
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for r in results:
             print(r.line())

@@ -219,21 +219,21 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     normal double: kernel points at b = 1/2 or b = 0 push it out of range from
     a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
-    return _energies(_reduced(iso.source, tol), [iso], tol)[0]
+    return _energies(_reduced(iso.source, tol), [(iso, log_norm_eta(iso.target, tol))], tol)[0]
 
 
-def _energies(reduced: _Reduced, isos: list[Isogeny],
+def _energies(reduced: _Reduced, quotients: list[tuple[Isogeny, float]],
               tol: SeriesTolerance) -> list[tuple[float, float]]:
-    # energy() of each isogeny in a list with one source and one degree, from
-    # the record reduced = _reduced(source, tol): one reduction, one log|eta|
-    # and one +-P table of the source
-    source, n = isos[0].source, isos[0].degree
+    # energy() of each (isogeny, log_norm_eta(its target)) in a list with one
+    # source and one degree, from the record reduced = _reduced(source, tol):
+    # one reduction, one log|eta| and one +-P table of the source
+    source, n = quotients[0][0].source, quotients[0][0].degree
     log_norm_source = 0.25 * math.log(reduced[0].im) + reduced[2]
     log_products = _log_green_sums(
-        reduced, n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso in isos], tol)
+        reduced, n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso, _ in quotients], tol)
     return [(_exp_log_green(log_product, source, "kernel product"),
-             math.sqrt(n) * math.exp(2.0 * (log_norm_eta(iso.target, tol) - log_norm_source)))
-            for iso, log_product in zip(isos, log_products)]
+             math.sqrt(n) * math.exp(2.0 * (log_norm_target - log_norm_source)))
+            for (_, log_norm_target), log_product in zip(quotients, log_products)]
 
 
 def energy_via_a(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> float:

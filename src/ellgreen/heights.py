@@ -26,7 +26,7 @@ from .lattice import (
     _subgroup_pairs,
     cyclic_subgroups,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
+from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta, log_norm_eta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -128,20 +128,21 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     route through the quotient tori.  Both are sums of logs, finite at any
     reduced Im tau."""
     subs = cyclic_subgroups(n)
-    return _average_green_over_cyclic(tau, _reduced(tau, tol), n, subs, tol)
+    log_norm_targets = [log_norm_eta(_quotient_target(tau, sub)[0], tol) for sub in subs]
+    return _average_green_over_cyclic(_reduced(tau, tol), n, subs, log_norm_targets, tol)
 
 
-def _average_green_over_cyclic(tau: TauPoint, reduced: _Reduced, n: int,
-                               subs: list[CyclicSubgroup],
+def _average_green_over_cyclic(reduced: _Reduced, n: int, subs: list[CyclicSubgroup],
+                               log_norm_targets: list[float],
                                tol: SeriesTolerance) -> AverageHeightReport:
     # average_green_over_cyclic() from the record reduced = _reduced(tau, tol),
-    # which log_norm_delta(tau) and the sums share, and subs = cyclic_subgroups(n)
+    # which log_norm_delta(tau) and the sums share, subs = cyclic_subgroups(n)
+    # and log_norm_eta (24 times it is log_norm_delta) of each quotient target
     count = len(subs)
     log_delta_src = 24.0 * (0.25 * math.log(reduced[0].im) + reduced[2])
     green_sums = _log_green_sums(reduced, n, [_subgroup_pairs(sub) for sub in subs], tol)
-    # the targets are reduced: reduce_tau returns each at its fast exit
-    delta_drops = [(log_delta_src - log_norm_delta(_quotient_target(tau, sub)[0], tol)) / 12.0
-                   for sub in subs]
+    delta_drops = [(log_delta_src - 24.0 * log_norm_target) / 12.0
+                   for log_norm_target in log_norm_targets]
     return AverageHeightReport(
         n=n,
         green_average=math.fsum(green_sums) / count,

@@ -295,7 +295,10 @@ def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInva
     norm_delta = exp(log_norm_delta) is not a normal double (reduced Im tau
     above ~117); log_norm_delta itself stays finite there.
     """
-    log_eta = log_norm_eta(tau, tol)
+    return _invariants(log_norm_eta(tau, tol))
+
+
+def _invariants(log_eta: float) -> SurfaceInvariants:
     log_delta = 24.0 * log_eta
     nd = _exp_normal(log_delta, "norm_delta", "log_norm_delta")
     ne = math.exp(log_eta)

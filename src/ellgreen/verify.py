@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .green import (
     _reduced,
     _torsion_product,
     a_invariant_adjunction_check,
-    energy_via_a,
     green,
     green_projection_check,
 )
@@ -40,7 +40,7 @@ from .lattice import (
     quotient,
     reduce_tau,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, delta, theta_dz
+from .modular import DEFAULT_TOL, SeriesTolerance, _invariants, delta, log_norm_eta, theta_dz
 from .weierstrass import (
     PeriodData,
     _cubic_roots,
@@ -127,17 +127,18 @@ def _check_torsion_products(sampled, n_max, tol) -> list[CheckResult]:
     return out
 
 
-def _check_energy(sampled, subgroups, n_max, tol) -> list[CheckResult]:
+def _check_energy(sampled, quotients, n_max, tol) -> list[CheckResult]:
     out = []
     worst_a_form = 0.0
-    for i, (tau, reduced) in enumerate(sampled):
+    for i, ((_, reduced), by_order) in enumerate(zip(sampled, quotients)):
+        a_source = _invariants(0.25 * math.log(reduced[0].im) + reduced[2]).omega_norm
         worst = 0.0
         for n in range(1, n_max + 1):
-            isos = [quotient(tau, sub) for sub in subgroups[n]]
-            for iso, (product, predicted) in zip(isos, _energies(reduced, isos, tol)):
+            energies = _energies(reduced, by_order[n], tol)
+            for (_, log_norm_target), (product, predicted) in zip(by_order[n], energies):
                 worst = _worse(worst, abs(product - predicted) / predicted)
-                worst_a_form = _worse(worst_a_form,
-                                      abs(energy_via_a(iso, tol) - predicted) / predicted)
+                via_a = math.sqrt(n) * a_source / _invariants(log_norm_target).omega_norm
+                worst_a_form = _worse(worst_a_form, abs(via_a - predicted) / predicted)
         out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
     out.append(CheckResult(3, "energy prediction matches differential-norm form",
                            worst_a_form, 1e-12))
@@ -164,10 +165,11 @@ def _check_projection(rng, subgroups, instances, tol) -> list[CheckResult]:
                         worst, 1e-10)]
 
 
-def _check_averages(sampled, subgroups, n_max, tol) -> list[CheckResult]:
+def _check_averages(sampled, quotients, subgroups, n_max, tol) -> list[CheckResult]:
     out = []
-    for i, (tau, reduced) in enumerate(sampled):
-        reports = [_average_green_over_cyclic(tau, reduced, n, subgroups[n], tol)
+    for i, ((_, reduced), by_order) in enumerate(zip(sampled, quotients)):
+        reports = [_average_green_over_cyclic(reduced, n, subgroups[n],
+                                              [log for _, log in by_order[n]], tol)
                    for n in range(1, n_max + 1)]
         out.append(CheckResult(
             5, f"average log-Green over cyclic subgroups, N<={n_max}, tau#{i}",
@@ -286,30 +288,28 @@ def _brute_force_subgroup_sets(n: int) -> set[frozenset]:
 
 
 def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]:
-    mismatches = 0
+    mismatches = contain_bad = 0
     for n in range(1, count_max + 1):
         enumerated = subgroups[n]
         brute = _brute_force_subgroup_sets(n)
         stray = 0
+        holders = Counter()  # per order-n pair, the enumerated subgroups that hold it
         for sub in enumerated:  # one set at a time keeps the peak low; each removes its match
             pts = frozenset(_subgroup_pairs(sub))
             stray += pts not in brute
             brute.discard(pts)
+            if n <= contain_max:
+                holders.update(pts)
         if len(enumerated) != cyclic_subgroup_count(n) or stray or brute:
             mismatches += 1
-    contain_bad = 0
-    for n in range(1, contain_max + 1):
-        big = [frozenset(_subgroup_pairs(sub)) for sub in subgroups[n]]
-        for m in range(1, n + 1):
-            if n % m:
-                continue
+        if n > contain_max:
+            continue
+        for m in (m for m in range(1, n + 1) if n % m == 0):
             expected = cyclic_subgroup_count(n) // cyclic_subgroup_count(m)
-            for small in subgroups[m]:
-                # the order-m pair (i, j) is the order-n pair (i*n/m, j*n/m)
-                spts = {(i * (n // m), j * (n // m)) for i, j in _subgroup_pairs(small)}
-                hits = sum(1 for pts in big if spts <= pts)
-                if hits != expected:
-                    contain_bad += 1
+            # both are the multiples of one generator: an order-n subgroup holds
+            # the order-m one iff it holds its generator, the pair (u*n/m, v*n/m)
+            contain_bad += sum(holders[small.u * (n // m), small.v * (n // m)] != expected
+                               for small in subgroups[m])
     return [
         CheckResult(12, f"cyclic subgroup enumeration vs brute force, N<={count_max}",
                     float(mismatches), 0.5),
@@ -359,17 +359,20 @@ def run_checks(level: str = "full", seed: int = 7,
     # 4 (to 8) and 12 (to count_max, the largest)
     subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
     # one record per sampled tau: criteria 2, 3, 5 and 6 share its reduction,
-    # log|eta| and +-P tables
+    # log|eta| and +-P tables, 3 and 5 its quotients with log_norm_eta(target)
     sampled = [(tau, _reduced(tau, tol)) for tau in taus3]
+    quotients = [{n: [(iso, log_norm_eta(iso.target, tol))
+                      for iso in (quotient(tau, sub) for sub in subgroups[n])]
+                  for n in range(1, n_max + 1)} for tau in taus3]
 
     results: list[CheckResult] = []
     results += _check_cusp_identities(grid_taus, tol)
     results += _check_torsion_products(sampled, n_max, tol)
-    results += _check_energy(sampled, subgroups, n_max, tol)
+    results += _check_energy(sampled, quotients, n_max, tol)
     results += _check_projection(rng, subgroups, 100 if full else 20, tol)
-    results += _check_averages(sampled, subgroups, n_max, tol)
+    results += _check_averages(sampled, quotients, subgroups, n_max, tol)
     results += _check_exact_order_sums(sampled, n_max, tol)
-    del sampled  # the tables go before criterion 12 builds its point sets
+    del sampled, quotients  # the records go before criterion 12 builds its point sets
     results += _check_weierstrass_grid(grid_taus, tol)
     results += _check_two_torsion(grid_taus, tol)
     results += _check_mean_integral(tol)

@@ -178,6 +178,23 @@ def test_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def strict_json(text):
+    # RFC 8259 JSON: Infinity, -Infinity and NaN are not numbers there
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_a_non_finite_value_as_the_table_string(capsys):
+    # G(0, 0) = 0 has log G = -inf; both renderers print it as -inf
+    code, out, _ = run_cli(capsys, "--json", "green", "--tau", "0+1i", "--z", "0+0i")
+    assert code == 0
+    results = strict_json(out)["results"]
+    assert results["value"] == 0.0 and results["log_value"] == "-inf"
+    _, table, _ = run_cli(capsys, "green", "--tau", "0+1i", "--z", "0+0i")
+    assert "  log_value  -inf\n" in table
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -218,3 +235,23 @@ def test_verify_negative_control(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--seed", "7")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_json_writes_a_nan_residual_as_a_string(capsys, monkeypatch):
+    # a NaN residual fails its check and stays strict JSON
+    import ellgreen.cli as cli
+    from ellgreen.verify import CheckResult
+
+    real = cli.run_checks
+
+    def with_nan(**kwargs):
+        results = real(**kwargs)
+        results[0] = CheckResult(results[0].criterion, results[0].name, math.nan, 1e-9)
+        return results
+
+    monkeypatch.setattr(cli, "run_checks", with_nan)
+    code, out, _ = run_cli(capsys, "--json", "verify", "--level", "quick", "--seed", "7")
+    assert code == 1
+    checks = strict_json(out)
+    assert checks[0]["residual"] == "nan" and checks[0]["passed"] is False
+    assert all(c["passed"] for c in checks[1:])

@@ -262,7 +262,8 @@ def test_energies_of_one_source_equal_one_call_each(tau):
     # exactly, and both equal the formula from a reduction per isogeny
     for n in range(1, 13):
         isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
-        shared = _energies(_reduced(tau, DEFAULT_TOL), isos, DEFAULT_TOL)
+        quotients = [(iso, log_norm_eta(iso.target)) for iso in isos]
+        shared = _energies(_reduced(tau, DEFAULT_TOL), quotients, DEFAULT_TOL)
         assert shared == [energy(iso) for iso in isos]
         for iso, got in zip(isos, shared):
             pairs = _kernel_pairs(iso.coordinate_matrix(), n)

@@ -42,7 +42,7 @@ from ellgreen.lattice import (
     quotient,
     subgroup_points,
 )
-from ellgreen.modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
+from ellgreen.modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta, log_norm_eta
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -335,10 +335,12 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
     for n in range(12, 0, -1):
         subs = cyclic_subgroups(n)
         isos = [quotient(tau, sub) for sub in subs]
+        log_targets = [log_norm_eta(iso.target) for iso in isos]
         assert _exact_order_log_green(shared, n, DEFAULT_TOL) == exact_order_log_green(tau, n)
-        assert (_average_green_over_cyclic(tau, shared, n, subs, DEFAULT_TOL)
+        assert (_average_green_over_cyclic(shared, n, subs, log_targets, DEFAULT_TOL)
                 == average_green_over_cyclic(tau, n))
-        assert _energies(shared, isos, DEFAULT_TOL) == [energy(iso) for iso in isos]
+        assert (_energies(shared, list(zip(isos, log_targets)), DEFAULT_TOL)
+                == [energy(iso) for iso in isos])
         assert _torsion_product(tau, shared, n, DEFAULT_TOL) == torsion_product(tau, n)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 import ellgreen.verify as verify
 from ellgreen.cli import main
 from ellgreen.green import _reduced
-from ellgreen.lattice import CyclicSubgroup, TauPoint, cyclic_subgroups
-from ellgreen.modular import DEFAULT_TOL, log_abs_theta_shifted
+from ellgreen.lattice import (CyclicSubgroup, TauPoint, _quotient_target, cyclic_subgroups,
+                              reduce_tau)
+from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, log_abs_theta_shifted
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,10 +73,22 @@ def test_verify_prints_the_committed_output(level, capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
-def test_full_run_shares_one_table_per_tau_and_order(monkeypatch):
-    # criteria 2, 3, 5 and 6 share one +-P table per (tau, N) and one subgroup
-    # list per order: at seed 3 a full run evaluates 1760 shifted theta sums
-    # and enumerates the subgroups of each order up to 30 once
+def test_verify_json_prints_the_committed_output(capsys):
+    # the golden file holds what `ellgreen --json verify --level full --seed 7`
+    # printed; it is strict JSON (no NaN or Infinity)
+    assert main(["--json", "verify", "--level", "full", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "verify-full-seed7.json").read_bytes()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    assert len(json.loads(out, parse_constant=reject)) == 36
+
+
+def count_calls(monkeypatch, *functions):
+    # wraps each function in every module that binds its name (ellgreen.green,
+    # as an attribute of the package, is the function green) and returns the
+    # call counts by name
     counts = Counter()
 
     def counted(name, fn):
@@ -83,18 +97,36 @@ def test_full_run_shares_one_table_per_tau_and_order(monkeypatch):
             return fn(*args)
         return wrapper
 
-    originals = {"log_abs_theta_shifted": log_abs_theta_shifted,
-                 "cyclic_subgroups": cyclic_subgroups}
-    # every module that binds the name (ellgreen.green, as an attribute of the
-    # package, is the function green)
     modules = [m for name, m in sys.modules.items() if name.startswith("ellgreen.")]
     for module in modules:
-        for name, fn in originals.items():
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+        for fn in functions:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
+    return counts
+
+
+def test_full_run_shares_one_table_per_tau_and_order(monkeypatch):
+    # criteria 2, 3, 5 and 6 share one +-P table per (tau, N) and one subgroup
+    # list per order: at seed 3 a full run evaluates 1760 shifted theta sums
+    # and enumerates the subgroups of each order up to 30 once
+    counts = count_calls(monkeypatch, log_abs_theta_shifted, cyclic_subgroups)
     verify.run_checks("full", 3)
     assert counts["log_abs_theta_shifted"] <= 1760
     assert counts["cyclic_subgroups"] == 30
+
+
+def test_full_run_builds_each_quotient_torus_once(monkeypatch):
+    # criteria 3 and 5 share the 354 quotients of the three sampled tau, each
+    # built and its eta product summed once: the other 100 quotients are
+    # criterion 4's, and the eta products and reductions left are the other
+    # criteria's
+    counts = count_calls(monkeypatch, _log_abs_eta, _quotient_target, reduce_tau,
+                         log_abs_theta_shifted)
+    verify.run_checks("full", 3)
+    assert counts["_log_abs_eta"] <= 671
+    assert counts["_quotient_target"] <= 454
+    assert counts["reduce_tau"] <= 1250
+    assert counts["log_abs_theta_shifted"] <= 1760
 
 
 @pytest.mark.parametrize("tamper", ["drop", "duplicate", "foreign"])
@@ -110,3 +142,22 @@ def test_subgroup_enumeration_check_counts_a_bad_list(tamper):
     enumeration, containment = verify._check_combinatorics(subgroups, 8, 0)
     assert enumeration.residual == 1.0 and not enumeration.passed
     assert containment.passed
+
+
+@pytest.mark.parametrize("order, bad", [(6, 3.0), (4, 2.0)])
+def test_containment_check_counts_each_wrong_count(order, bad):
+    # dropping the last order-6 subgroup leaves its subgroups of order 1, 2 and
+    # 3 one holder short; putting the first order-4 subgroup in place of the
+    # last (both hold the same order-2 subgroup) gives it two holders, seen
+    # once per copy
+    subgroups = {n: cyclic_subgroups(n) for n in range(1, 9)}
+    subs = subgroups[order] = list(subgroups[order])
+    if order == 6:
+        subs.pop()
+    else:
+        subs[-1] = subs[0]
+    enumeration, containment = verify._check_combinatorics(subgroups, 8, 8)
+    assert enumeration.residual == 1.0
+    assert containment.residual == bad and not containment.passed
+    intact = {n: cyclic_subgroups(n) for n in range(1, 9)}
+    assert [r.residual for r in verify._check_combinatorics(intact, 8, 8)] == [0.0, 0.0]
