@@ -3,7 +3,8 @@
 The computational definition is G(0, z) = ||theta||(z + (1+tau)/2; tau) / ||eta||;
 two-point values follow from translation invariance, G(P, Q) = G(0, Q - P).
 The defining normalisation (zero mean of log G against the flat unit-mass
-form) is exposed as a quadrature check rather than assumed.
+form) is exposed as a quadrature check rather than assumed.  Every value and
+sum of log G here is evaluated on one `modular._Torus` record per torus.
 """
 
 from __future__ import annotations
@@ -15,24 +16,21 @@ from operator import truediv
 
 from . import _kernels
 from .lattice import (
-    IntMatrix,
     Isogeny,
     TauPoint,
     TorusPoint,
     _kernel_pairs,
     _mod_one,
     _torsion_pairs,
-    reduce_tau,
     transport_point,
 )
 from .modular import (
     DEFAULT_TOL,
     SeriesTolerance,
-    invariants,
-    log_abs_theta_shifted,
     log_norm_eta,
+    _Torus,
     _exp_normal,
-    _log_abs_eta,
+    _omega_norm,
     _phase_row,
     _weight_row,
 )
@@ -65,71 +63,15 @@ class GreenValue:
         return cls(_exp_log_green(log_value), log_value)
 
 
-def _exp_log_green(log_value: float, tau: TauPoint | None = None, name: str = "G") -> float:
+def _exp_log_green(log_value: float, torus: _Torus | None = None, name: str = "G") -> float:
     # log G(0, a + b*tau) runs from about -pi*Im(tau)/6 at b = 0 to pi*Im(tau)/12
     # at b = 1/2, so G may leave the normal doubles while its log does not
     try:
         return _exp_normal(log_value, name, f"log {name}")
     except ArithmeticError as exc:
-        if tau is None:
+        if torus is None:
             raise
-        raise ArithmeticError(f"{exc} at reduced Im tau = {reduce_tau(tau)[0].im!r}") from None
-
-
-def _log_green_unreduced(tau: TauPoint, log_eta: float, a: float, b: float,
-                         tol: SeriesTolerance) -> float:
-    # log G(0, a + b*tau) at the given marking, no reduction; log_eta is
-    # log|eta(tau)|.  The (Im tau)^(1/4) factors of ||theta|| and ||eta|| cancel.
-    c = (a + 0.5) % 1.0
-    d = (b + 0.5) % 1.0
-    return log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol)) - log_eta
-
-
-_Reduced = tuple[TauPoint, IntMatrix, float, dict]
-
-
-def _reduced(tau: TauPoint, tol: SeriesTolerance) -> _Reduced:
-    # tau reduced, the reduction matrix, log|eta| at the reduced tau and, per n,
-    # the weight rows, phase rows and +-P table that _log_green_sums fills: what
-    # every sum over one torus shares.  log ||eta|| = log(Im)/4 + log|eta| there.
-    red, mat = reduce_tau(tau)
-    return red, mat, _log_abs_eta(red, tol), {}
-
-
-def _log_green_sums(reduced: _Reduced, n: int, pair_lists: list[list[tuple[int, int]]],
-                    tol: SeriesTolerance) -> list[float]:
-    # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n,
-    # 0 for the zero pair, on the torus of _reduced(tau); pairs move through
-    # the reduction matrix in integers.  G(-P) = G(P): each class is evaluated
-    # once, at min(P, -P) as green() evaluates it (i/n rounds as
-    # float(Fraction(i, n)) does), and filed under P and -P in the record's
-    # table for n, so a sum depends neither on the other lists of the call nor
-    # on the earlier calls with the same record.  The table keys (a, b) as the
-    # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
-    red, ((ma, mb), (mc, md)), log_eta, tables = reduced
-    if n not in tables:
-        tables[n] = {}, {}, {0: 0.0}
-    weights, phases, table = tables[n]
-    sums = []
-    for pairs in pair_lists:
-        logs = []
-        for i, j in pairs:
-            a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
-            key = a * n + b
-            if key not in table:
-                a, b = min((a, b), (-a % n, -b % n))
-                if b not in weights:
-                    weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
-                if a not in phases:
-                    phases[a] = _phase_row((a / n + 0.5) % 1.0, red, tol)
-                table[a * n + b] = table[(-a % n) * n + (-b % n)] = (
-                    log_abs_theta_shifted(weights[b], phases[a]) - log_eta)
-            logs.append(table[key])
-        sums.append(math.fsum(logs))
-    if len(table) == n * n:  # every class is in: no later call needs a row
-        weights.clear()
-        phases.clear()
-    return sums
+        raise ArithmeticError(f"{exc} at reduced Im tau = {torus.red.im!r}") from None
 
 
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
@@ -147,12 +89,12 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     coordinates); within a few rounding errors of it no digit survives and
     it raises ArithmeticError instead of returning noise.
     """
-    red, mat, log_eta, _ = _reduced(tau, tol)
-    moved = transport_point(z, mat)
+    torus = _Torus(tau, tol)
+    moved = transport_point(z, torus.mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
-    log_value = _log_green_unreduced(red, log_eta, float(moved.a), float(moved.b), tol)
-    return GreenValue(_exp_log_green(log_value, red), log_value)
+    log_value = torus.log_green(float(moved.a), float(moved.b))
+    return GreenValue(_exp_log_green(log_value, torus), log_value)
 
 
 def green_pair(tau: TauPoint, p: TorusPoint, q: TorusPoint,
@@ -178,7 +120,8 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     den = math.lcm(qa.denominator, qb.denominator, n)
     qa, qb = qa.numerator * den // qa.denominator, qb.numerator * den // qb.denominator
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
-    red, ((ma, mb), (mc, md)), log_eta, _ = _reduced(iso.source, tol)
+    torus = _Torus(iso.source, tol)
+    (ma, mb), (mc, md) = torus.mat
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
         pa = _mod_one(z.a - div_a((qa + i * den // n) % den, den), "a")
@@ -186,7 +129,7 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
         a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
         if a == 0 and b == 0:
             raise ValueError("z lies in the fiber of w; log G(Q, z) diverges")
-        logs.append(_log_green_unreduced(red, log_eta, float(a), float(b), tol))
+        logs.append(torus.log_green(float(a), float(b)))
     lhs = math.fsum(logs)
     g_target = green(iso.target, iso.apply(z) - w, tol)
     if g_target.value == 0.0:
@@ -201,13 +144,11 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     ArithmeticError, naming the kernel product, its log and the reduced Im
     tau, where the product is not a normal double.
     """
-    return _torsion_product(tau, _reduced(tau, tol), n, tol)
+    return _torsion_product(_Torus(tau, tol), n)
 
 
-def _torsion_product(tau: TauPoint, reduced: _Reduced, n: int, tol: SeriesTolerance) -> float:
-    # torsion_product() from the record reduced = _reduced(tau, tol)
-    log_product = _log_green_sums(reduced, n, [_torsion_pairs(n)], tol)[0]
-    return _exp_log_green(log_product, tau, "kernel product")
+def _torsion_product(torus: _Torus, n: int) -> float:
+    return _exp_log_green(torus.log_green_sums(n, [_torsion_pairs(n)])[0], torus, "kernel product")
 
 
 def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -219,28 +160,26 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     normal double: kernel points at b = 1/2 or b = 0 push it out of range from
     a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
-    return _energies(_reduced(iso.source, tol), [(iso, log_norm_eta(iso.target, tol))], tol)[0]
+    return _energies(_Torus(iso.source, tol), [(iso, log_norm_eta(iso.target, tol))])[0]
 
 
-def _energies(reduced: _Reduced, quotients: list[tuple[Isogeny, float]],
-              tol: SeriesTolerance) -> list[tuple[float, float]]:
-    # energy() of each (isogeny, log_norm_eta(its target)) in a list with one
-    # source and one degree, from the record reduced = _reduced(source, tol):
-    # one reduction, one log|eta| and one +-P table of the source
-    source, n = quotients[0][0].source, quotients[0][0].degree
-    log_norm_source = 0.25 * math.log(reduced[0].im) + reduced[2]
-    log_products = _log_green_sums(
-        reduced, n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso, _ in quotients], tol)
-    return [(_exp_log_green(log_product, source, "kernel product"),
+def _energies(torus: _Torus, quotients: list[tuple[Isogeny, float]]) -> list[tuple[float, float]]:
+    # energy() of each (isogeny, log_norm_eta(its target)) of one degree, on their source's record
+    n = quotients[0][0].degree
+    log_norm_source = torus.log_norm_eta
+    log_products = torus.log_green_sums(
+        n, [_kernel_pairs(iso.coordinate_matrix(), n) for iso, _ in quotients])
+    return [(_exp_log_green(log_product, torus, "kernel product"),
              math.sqrt(n) * math.exp(2.0 * (log_norm_target - log_norm_source)))
             for (_, log_norm_target), log_product in zip(quotients, log_products)]
 
 
 def energy_via_a(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """The same prediction through the differential-norm invariant,
-    sqrt(N) * A(source) / A(target)."""
-    a_src = invariants(iso.source, tol).omega_norm
-    a_tgt = invariants(iso.target, tol).omega_norm
+    sqrt(N) * A(source) / A(target).  Raises ArithmeticError where an omega
+    norm A leaves the doubles (reduced Im tau of source or target above ~1360)."""
+    a_src = _omega_norm(log_norm_eta(iso.source, tol))
+    a_tgt = _omega_norm(log_norm_eta(iso.target, tol))
     return math.sqrt(iso.degree) * a_src / a_tgt
 
 
@@ -252,14 +191,14 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     extrapolation in t^2 (t = 1e-2, 5e-3, 2.5e-3); the limit divided by
     sqrt(Im tau) must equal the omega_norm invariant.
     """
-    red, _, log_eta, _ = _reduced(tau, tol)
-    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * (0.25 * math.log(red.im) + log_eta)))
+    torus = _Torus(tau, tol)
+    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * torus.log_norm_eta))
 
     def ratio(t: float) -> float:
         zc = t * direction
-        b = zc.imag / red.im
-        a = zc.real - b * red.re
-        return abs(zc) / math.exp(_log_green_unreduced(red, log_eta, a % 1.0, b % 1.0, tol))
+        b = zc.imag / torus.red.im
+        a = zc.real - b * torus.red.re
+        return abs(zc) / math.exp(torus.log_green(a % 1.0, b % 1.0))
 
     r1 = ratio(1e-2)
     r2 = ratio(5e-3)
@@ -267,7 +206,7 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     first_a = (4.0 * r2 - r1) / 3.0
     first_b = (4.0 * r3 - r2) / 3.0
     limit = (16.0 * first_b - first_a) / 15.0
-    return abs(limit / math.sqrt(red.im) - a_closed) / a_closed
+    return abs(limit / math.sqrt(torus.red.im) - a_closed) / a_closed
 
 
 def green_mean_integral(tau: TauPoint, grid: int,
@@ -283,20 +222,19 @@ def green_mean_integral(tau: TauPoint, grid: int,
     """
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
-    red, _, log_eta, _ = _reduced(tau, tol)
-    return _log_green_unreduced(red, log_eta, 0.5, 0.5, tol) / (grid * grid)
+    return _Torus(tau, tol).log_green(0.5, 0.5) / (grid * grid)
 
 
 def _midpoint_log_green_mean(tau: TauPoint, grid: int,
                              tol: SeriesTolerance = DEFAULT_TOL) -> float:
     # The direct sum behind green_mean_integral's closed form.  G(-P) = G(P)
     # pairs (i, j) with (M-1-i, M-1-j): rows j < M/2 count twice, an odd M's middle once.
-    red, _ = reduce_tau(tau)
+    torus = _Torus(tau, tol)
+    red = torus.red
     shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
     rows = [_weight_row(d, red, tol) for d in shifted[:(grid + 1) // 2]]
     phases = [_phase_row(c, red, tol) for c in shifted]
     log_sums = _kernels.log_abs_theta_shifted_grid(rows, phases)
     counts = [1 if 2 * j + 1 == grid else 2 for j in range(len(rows))]
     total = math.fsum(n * x for n, logs in zip(counts, log_sums) for x in logs)
-    log_eta = _log_abs_eta(red, tol)  # the (Im tau)^(1/4) factors cancel
-    return total / (grid * grid) - log_eta
+    return total / (grid * grid) - torus.log_eta  # the (Im tau)^(1/4) factors cancel

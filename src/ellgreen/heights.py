@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .green import (
-    _Reduced,
-    _log_green_sums,
-    _reduced,
-    green,  # noqa: F401  perfbench/tests reads green
-)
+from .green import green  # noqa: F401  perfbench/tests reads green
 from .lattice import (
     CyclicSubgroup,
     TauPoint,
@@ -26,7 +21,7 @@ from .lattice import (
     _subgroup_pairs,
     cyclic_subgroups,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta, log_norm_eta
+from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, log_norm_delta, log_norm_eta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -83,12 +78,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _exact_order_log_green(_reduced(tau, tol), m, tol)
-
-
-def _exact_order_log_green(reduced: _Reduced, m: int, tol: SeriesTolerance) -> float:
-    # exact_order_log_green() from the record reduced = _reduced(tau, tol)
-    return _log_green_sums(reduced, m, [_exact_order_pairs(m)], tol)[0]
+    return _Torus(tau, tol).log_green_sums(m, [_exact_order_pairs(m)])[0]
 
 
 def average_height_increment(n: int) -> float:
@@ -129,18 +119,16 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     reduced Im tau."""
     subs = cyclic_subgroups(n)
     log_norm_targets = [log_norm_eta(_quotient_target(tau, sub)[0], tol) for sub in subs]
-    return _average_green_over_cyclic(_reduced(tau, tol), n, subs, log_norm_targets, tol)
+    return _average_green_over_cyclic(_Torus(tau, tol), n, subs, log_norm_targets)
 
 
-def _average_green_over_cyclic(reduced: _Reduced, n: int, subs: list[CyclicSubgroup],
-                               log_norm_targets: list[float],
-                               tol: SeriesTolerance) -> AverageHeightReport:
-    # average_green_over_cyclic() from the record reduced = _reduced(tau, tol),
-    # which log_norm_delta(tau) and the sums share, subs = cyclic_subgroups(n)
-    # and log_norm_eta (24 times it is log_norm_delta) of each quotient target
+def _average_green_over_cyclic(torus: _Torus, n: int, subs: list[CyclicSubgroup],
+                               log_norm_targets: list[float]) -> AverageHeightReport:
+    # average_green_over_cyclic() on the record of its tau, with subs =
+    # cyclic_subgroups(n) and log_norm_eta (log_norm_delta / 24) of each target
     count = len(subs)
-    log_delta_src = 24.0 * (0.25 * math.log(reduced[0].im) + reduced[2])
-    green_sums = _log_green_sums(reduced, n, [_subgroup_pairs(sub) for sub in subs], tol)
+    log_delta_src = 24.0 * torus.log_norm_eta
+    green_sums = torus.log_green_sums(n, [_subgroup_pairs(sub) for sub in subs])
     delta_drops = [(log_delta_src - 24.0 * log_norm_target) / 12.0
                    for log_norm_target in log_norm_targets]
     return AverageHeightReport(

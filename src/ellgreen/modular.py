@@ -4,7 +4,8 @@ and their normalised (lattice-invariant) versions.
 All q-series are truncated adaptively against a relative tolerance.  Every
 theta value comes from one shifted sum, a weight row times a phase row with
 its dominant term taken out as a log, so its terms are bounded by 1 and it
-neither overflows nor underflows whatever the point or Im tau.
+neither overflows nor underflows whatever the point or Im tau.  `_Torus`, one
+reduced torus, is the record every value and sum of log G is evaluated on.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def log_norm_eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 
     Reduces tau internally; the value depends only on the torus.
     """
-    red, _ = reduce_tau(tau)
-    return 0.25 * math.log(red.im) + _log_abs_eta(red, tol)
+    return _Torus(tau, tol).log_norm_eta
 
 
 def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
@@ -262,6 +262,63 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
     return scale * abs(_scaled_sum(weights, _phase_row(float(point.a), tau, tol)))
 
 
+class _Torus:
+    """The torus marked by tau, reduced once: the reduced tau `red`, the
+    matrix `mat` with red = mat.tau, log|eta(red)| and, per n, the weight
+    rows, phase rows and +-P table of log G that `log_green_sums` fills."""
+
+    __slots__ = ("tau", "tol", "red", "mat", "log_eta", "tables")
+
+    def __init__(self, tau: TauPoint, tol: SeriesTolerance):
+        self.tau, self.tol = tau, tol
+        self.red, self.mat = reduce_tau(tau)
+        self.log_eta = _log_abs_eta(self.red, tol)
+        self.tables: dict[int, tuple[dict, dict, dict]] = {}
+
+    @property
+    def log_norm_eta(self) -> float:
+        return 0.25 * math.log(self.red.im) + self.log_eta
+
+    def log_green(self, a: float, b: float) -> float:
+        # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
+        red, tol = self.red, self.tol
+        return (log_abs_theta_shifted(_weight_row((b + 0.5) % 1.0, red, tol),
+                                      _phase_row((a + 0.5) % 1.0, red, tol)) - self.log_eta)
+
+    def log_green_sums(self, n: int, pair_lists: list[list[tuple[int, int]]]) -> list[float]:
+        # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n
+        # (0 for the zero pair); pairs move through `mat` in integers.  G(-P) =
+        # G(P): each class is evaluated once, at min(P, -P) as green() does (a/n
+        # rounds as float(Fraction(a, n))), and filed under P and -P, so a sum
+        # depends neither on the other lists nor on earlier calls.  Keys are the
+        # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
+        red, tol, log_eta, tables = self.red, self.tol, self.log_eta, self.tables
+        (ma, mb), (mc, md) = self.mat
+        if n not in tables:
+            tables[n] = {}, {}, {0: 0.0}
+        weights, phases, table = tables[n]
+        sums = []
+        for pairs in pair_lists:
+            logs = []
+            for i, j in pairs:
+                a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
+                key = a * n + b
+                if key not in table:
+                    a, b = min((a, b), (-a % n, -b % n))
+                    if b not in weights:
+                        weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
+                    if a not in phases:
+                        phases[a] = _phase_row((a / n + 0.5) % 1.0, red, tol)
+                    table[a * n + b] = table[(-a % n) * n + (-b % n)] = (
+                        log_abs_theta_shifted(weights[b], phases[a]) - log_eta)
+                logs.append(table[key])
+            sums.append(math.fsum(logs))
+        if len(table) == n * n:  # every class is in: no later call needs a row
+            weights.clear()
+            phases.clear()
+        return sums
+
+
 # ---------------------------------------------------------------------------
 # Invariants of the torus
 # ---------------------------------------------------------------------------
@@ -299,11 +356,16 @@ def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInva
 
 
 def _invariants(log_eta: float) -> SurfaceInvariants:
-    log_delta = 24.0 * log_eta
-    nd = _exp_normal(log_delta, "norm_delta", "log_norm_delta")
+    nd = _exp_normal(24.0 * log_eta, "norm_delta", "log_norm_delta")
+    return SurfaceInvariants(norm_eta=math.exp(log_eta), norm_delta=nd,
+                             omega_norm=_omega_norm(log_eta))
+
+
+def _omega_norm(log_eta: float) -> float:
+    # 1 / (2*pi*norm_eta^2) from log_norm_eta; its denominator leaves the
+    # normal doubles from a reduced Im tau of ~1360
     ne = math.exp(log_eta)
-    return SurfaceInvariants(
-        norm_eta=ne,
-        norm_delta=nd,
-        omega_norm=1.0 / (_TWO_PI * ne * ne),
-    )
+    scale = _TWO_PI * ne * ne
+    if not sys.float_info.min <= scale < math.inf:
+        raise ArithmeticError(f"omega_norm leaves the doubles: log_norm_eta = {log_eta!r}")
+    return 1.0 / scale

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .green import (
     _energies,
     _midpoint_log_green_mean,
-    _reduced,
     _torsion_product,
     a_invariant_adjunction_check,
     green,
@@ -27,7 +26,6 @@ from .green import (
 from .heights import (
     CurveHeightInput,
     _average_green_over_cyclic,
-    _exact_order_log_green,
     cyclic_subgroup_count,
     exact_order_log_green_expected,
     faltings_height,
@@ -35,12 +33,14 @@ from .heights import (
 from .lattice import (
     TauPoint,
     TorusPoint,
+    _exact_order_pairs,
     _subgroup_pairs,
     cyclic_subgroups,
     quotient,
     reduce_tau,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, _invariants, delta, log_norm_eta, theta_dz
+from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _omega_norm, delta, log_norm_eta,
+                      theta_dz)
 from .weierstrass import (
     PeriodData,
     _cubic_roots,
@@ -118,26 +118,26 @@ def _check_cusp_identities(taus, tol) -> list[CheckResult]:
     ]
 
 
-def _check_torsion_products(sampled, n_max, tol) -> list[CheckResult]:
+def _check_torsion_products(sampled, n_max) -> list[CheckResult]:
     out = []
-    for i, (tau, reduced) in enumerate(sampled):
-        worst = _worse(0.0, *(_rel(_torsion_product(tau, reduced, n, tol), float(n))
+    for i, torus in enumerate(sampled):
+        worst = _worse(0.0, *(_rel(_torsion_product(torus, n), float(n))
                                for n in range(1, n_max + 1)))
         out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
 
 
-def _check_energy(sampled, quotients, n_max, tol) -> list[CheckResult]:
+def _check_energy(sampled, quotients, n_max) -> list[CheckResult]:
     out = []
     worst_a_form = 0.0
-    for i, ((_, reduced), by_order) in enumerate(zip(sampled, quotients)):
-        a_source = _invariants(0.25 * math.log(reduced[0].im) + reduced[2]).omega_norm
+    for i, (torus, by_order) in enumerate(zip(sampled, quotients)):
+        a_source = _omega_norm(torus.log_norm_eta)
         worst = 0.0
         for n in range(1, n_max + 1):
-            energies = _energies(reduced, by_order[n], tol)
+            energies = _energies(torus, by_order[n])
             for (_, log_norm_target), (product, predicted) in zip(by_order[n], energies):
                 worst = _worse(worst, abs(product - predicted) / predicted)
-                via_a = math.sqrt(n) * a_source / _invariants(log_norm_target).omega_norm
+                via_a = math.sqrt(n) * a_source / _omega_norm(log_norm_target)
                 worst_a_form = _worse(worst_a_form, abs(via_a - predicted) / predicted)
         out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
     out.append(CheckResult(3, "energy prediction matches differential-norm form",
@@ -165,11 +165,11 @@ def _check_projection(rng, subgroups, instances, tol) -> list[CheckResult]:
                         worst, 1e-10)]
 
 
-def _check_averages(sampled, quotients, subgroups, n_max, tol) -> list[CheckResult]:
+def _check_averages(sampled, quotients, subgroups, n_max) -> list[CheckResult]:
     out = []
-    for i, ((_, reduced), by_order) in enumerate(zip(sampled, quotients)):
-        reports = [_average_green_over_cyclic(reduced, n, subgroups[n],
-                                              [log for _, log in by_order[n]], tol)
+    for i, (torus, by_order) in enumerate(zip(sampled, quotients)):
+        reports = [_average_green_over_cyclic(torus, n, subgroups[n],
+                                              [log for _, log in by_order[n]])
                    for n in range(1, n_max + 1)]
         out.append(CheckResult(
             5, f"average log-Green over cyclic subgroups, N<={n_max}, tau#{i}",
@@ -180,10 +180,10 @@ def _check_averages(sampled, quotients, subgroups, n_max, tol) -> list[CheckResu
     return out
 
 
-def _check_exact_order_sums(sampled, m_max, tol) -> list[CheckResult]:
-    worst = _worse(0.0, *(abs(_exact_order_log_green(reduced, m, tol)
+def _check_exact_order_sums(sampled, m_max) -> list[CheckResult]:
+    worst = _worse(0.0, *(abs(torus.log_green_sums(m, [_exact_order_pairs(m)])[0]
                               - exact_order_log_green_expected(m))
-                          for _, reduced in sampled for m in range(1, m_max + 1)))
+                          for torus in sampled for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope
     worst_closed = _worse(0.0, *(
         abs(math.fsum(exact_order_log_green_expected(m) for m in range(2, n + 1) if n % m == 0)
@@ -360,18 +360,18 @@ def run_checks(level: str = "full", seed: int = 7,
     subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
     # one record per sampled tau: criteria 2, 3, 5 and 6 share its reduction,
     # log|eta| and +-P tables, 3 and 5 its quotients with log_norm_eta(target)
-    sampled = [(tau, _reduced(tau, tol)) for tau in taus3]
+    sampled = [_Torus(tau, tol) for tau in taus3]
     quotients = [{n: [(iso, log_norm_eta(iso.target, tol))
                       for iso in (quotient(tau, sub) for sub in subgroups[n])]
                   for n in range(1, n_max + 1)} for tau in taus3]
 
     results: list[CheckResult] = []
     results += _check_cusp_identities(grid_taus, tol)
-    results += _check_torsion_products(sampled, n_max, tol)
-    results += _check_energy(sampled, quotients, n_max, tol)
+    results += _check_torsion_products(sampled, n_max)
+    results += _check_energy(sampled, quotients, n_max)
     results += _check_projection(rng, subgroups, 100 if full else 20, tol)
-    results += _check_averages(sampled, quotients, subgroups, n_max, tol)
-    results += _check_exact_order_sums(sampled, n_max, tol)
+    results += _check_averages(sampled, quotients, subgroups, n_max)
+    results += _check_exact_order_sums(sampled, n_max)
     del sampled, quotients  # the records go before criterion 12 builds its point sets
     results += _check_weierstrass_grid(grid_taus, tol)
     results += _check_two_torsion(grid_taus, tol)

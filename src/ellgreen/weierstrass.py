@@ -15,9 +15,8 @@ from itertools import permutations
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, reduce_tau
-from .modular import (DEFAULT_TOL, SeriesTolerance, _phase_row, _weight_row, delta,
+from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _phase_row, _weight_row, delta,
                       log_abs_theta_shifted, theta)
-from .green import _log_green_sums, _reduced
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -292,10 +291,10 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
         pair: 4.0 * log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol))
         for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
-    out, reduced = [], _reduced(tau, tol)
+    out, torus = [], _Torus(tau, tol)
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         (ai, bi), (aj, bj) = _HALF_PERIOD_COORDS[i], _HALF_PERIOD_COORDS[j]
-        lhs = 12.0 * _log_green_sums(reduced, 2, [[(aj - ai, bj - bi)]], tol)[0]
+        lhs = 12.0 * torus.log_green_sums(2, [[(aj - ai, bj - bi)]])[0]
         rhs = (math.log(16.0) + 2.0 * log_dist[(i, j)]
                - log_dist[tuple(sorted((i, k)))] - log_dist[tuple(sorted((j, k)))])
         out.append(abs(math.expm1(lhs - rhs)))

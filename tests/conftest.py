@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -29,3 +31,28 @@ def sample_taus():
         TauPoint(0.2, 1.5),
         TauPoint(0.45, 2.8),
     ]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*functions) wraps each function in every loaded ellgreen
+    module that binds its name and returns the call counts by name.  Every
+    module, not just the defining one: `from .x import f` copies the binding,
+    and ellgreen.green, as an attribute of the package, is the function green."""
+    def install(*functions) -> Counter:
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("ellgreen.")]
+        for fn in functions:
+            wrapper = counted(fn.__name__, fn)  # one per function, as a tracer finds it
+            for module in modules:
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
+        return counts
+    return install

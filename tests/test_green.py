@@ -10,9 +10,6 @@ from hypothesis import given, settings, strategies as st
 from ellgreen.green import (
     GreenValue,
     _energies,
-    _log_green_sums,
-    _log_green_unreduced,
-    _reduced,
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
     energy,
@@ -33,7 +30,8 @@ from ellgreen.lattice import (
     quotient,
     transport_point,
 )
-from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, log_norm_eta
+from ellgreen.modular import (DEFAULT_TOL, _Torus, _log_abs_eta, _phase_row, _weight_row,
+                              log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -103,7 +101,11 @@ def test_green_reduction_matches_unreduced_evaluation():
     # at an unreduced marking and compare with the reduced path
     tau = TauPoint(0.3, 0.4)
     p = TorusPoint(0.25, 0.6)
-    raw = _log_green_unreduced(tau, _log_abs_eta(tau, DEFAULT_TOL), 0.25, 0.6, DEFAULT_TOL)
+    # log G(0, a + b*tau) = log|S(a + 1/2, b + 1/2)| - log|eta|: the (Im tau)^(1/4)
+    # factors of ||theta|| and ||eta|| cancel
+    raw = (log_abs_theta_shifted(_weight_row((0.6 + 0.5) % 1.0, tau, DEFAULT_TOL),
+                                 _phase_row((0.25 + 0.5) % 1.0, tau, DEFAULT_TOL))
+           - _log_abs_eta(tau, DEFAULT_TOL))
     assert abs(raw - green(tau, p).log_value) < 1e-9
 
 
@@ -263,11 +265,11 @@ def test_energies_of_one_source_equal_one_call_each(tau):
     for n in range(1, 13):
         isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
         quotients = [(iso, log_norm_eta(iso.target)) for iso in isos]
-        shared = _energies(_reduced(tau, DEFAULT_TOL), quotients, DEFAULT_TOL)
+        shared = _energies(_Torus(tau, DEFAULT_TOL), quotients)
         assert shared == [energy(iso) for iso in isos]
         for iso, got in zip(isos, shared):
             pairs = _kernel_pairs(iso.coordinate_matrix(), n)
-            log_product = _log_green_sums(_reduced(tau, DEFAULT_TOL), n, [pairs], DEFAULT_TOL)[0]
+            log_product = _Torus(tau, DEFAULT_TOL).log_green_sums(n, [pairs])[0]
             log_ratio = 2.0 * (log_norm_eta(iso.target) - log_norm_eta(tau))
             assert got == (math.exp(log_product), math.sqrt(n) * math.exp(log_ratio))
 
@@ -277,6 +279,24 @@ def test_energy_via_a_matches_predicted():
         iso = quotient(TauPoint(0.0, 2.0), sub)
         _, predicted = energy(iso)
         assert abs(energy_via_a(iso) - predicted) / predicted < 1e-12
+
+
+@pytest.mark.parametrize("im", [120.0, 200.0, 400.0, 600.0])
+def test_energy_via_a_far_in_the_cusp(im):
+    # the omega norms come from log_norm_eta, not from invariants, whose
+    # norm_delta leaves the doubles from a reduced Im tau of ~117; the targets
+    # reach Im tau 1200 and the prediction 1e-137
+    for sub in cyclic_subgroups(2):
+        iso = quotient(TauPoint(0.1, im), sub)
+        _, predicted = energy(iso)
+        assert abs(energy_via_a(iso) - predicted) / predicted < 1e-12
+
+
+def test_energy_via_a_names_an_omega_norm_out_of_range():
+    # the target of tau -> 2 tau sits at reduced Im tau 1400, past ~1360
+    with pytest.raises(ArithmeticError, match=r"omega_norm leaves the doubles: "
+                                              r"log_norm_eta = -364\.70"):
+        energy_via_a(quotient(TauPoint(0.1, 700.0), CyclicSubgroup(2, 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ellgreen.heights import (
     CurveHeightInput,
     _average_green_over_cyclic,
-    _exact_order_log_green,
     average_green_over_cyclic,
     average_height_increment,
     cyclic_log_green_constant,
@@ -21,11 +19,13 @@ from ellgreen.heights import (
 )
 from ellgreen.green import (
     _energies,
-    _log_green_sums,
-    _reduced,
     _torsion_product,
+    a_invariant_adjunction_check,
     energy,
+    energy_via_a,
     green,
+    green_mean_integral,
+    green_projection_check,
     torsion_product,
 )
 from ellgreen.lattice import (
@@ -40,9 +40,12 @@ from ellgreen.lattice import (
     exact_order_points,
     mult_by_n_kernel,
     quotient,
+    reduce_tau,
     subgroup_points,
 )
-from ellgreen.modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta, log_norm_eta
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, invariants,
+                              log_abs_theta_shifted, log_norm_delta, log_norm_eta)
+from ellgreen.weierstrass import two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -301,7 +304,7 @@ def test_shared_table_sums_equal_one_list_calls(tau, n):
     # a sum depends on its own list only, not on the lists sharing the table
     lists = [_subgroup_pairs(sub) for sub in cyclic_subgroups(n)]
     def sums(pair_lists):
-        return _log_green_sums(_reduced(tau, DEFAULT_TOL), n, pair_lists, DEFAULT_TOL)
+        return _Torus(tau, DEFAULT_TOL).log_green_sums(n, pair_lists)
 
     alone = [sums([pairs])[0] for pairs in lists]
     assert sums(lists) == alone
@@ -310,7 +313,7 @@ def test_shared_table_sums_equal_one_list_calls(tau, n):
 
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
 def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
-    # run_checks hands one _reduced record per tau to the torsion (2), kernel
+    # run_checks hands one _Torus record per tau to the torsion (2), kernel
     # (3), subgroup (5) and exact-order (6) sums at N <= 12: in any call order,
     # each call's sums equal (==) those from a fresh record
     calls = []
@@ -322,46 +325,74 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
             (n, [_subgroup_pairs(sub) for sub in subs]),
             (n, [_exact_order_pairs(n)]),
         ]
-    fresh = [_log_green_sums(_reduced(tau, DEFAULT_TOL), n, lists, DEFAULT_TOL)
-             for n, lists in calls]
+    fresh = [_Torus(tau, DEFAULT_TOL).log_green_sums(n, lists) for n, lists in calls]
     in_order = list(range(len(calls)))
     for order in (in_order, in_order[::-1], random.Random(5).sample(in_order, len(calls))):
-        shared = _reduced(tau, DEFAULT_TOL)
+        shared = _Torus(tau, DEFAULT_TOL)
         for k in order:
             n, lists = calls[k]
-            assert _log_green_sums(shared, n, lists, DEFAULT_TOL) == fresh[k]
+            assert shared.log_green_sums(n, lists) == fresh[k]
     # the cores on one record equal the public functions, each on its own
-    shared = _reduced(tau, DEFAULT_TOL)
+    shared = _Torus(tau, DEFAULT_TOL)
     for n in range(12, 0, -1):
         subs = cyclic_subgroups(n)
         isos = [quotient(tau, sub) for sub in subs]
         log_targets = [log_norm_eta(iso.target) for iso in isos]
-        assert _exact_order_log_green(shared, n, DEFAULT_TOL) == exact_order_log_green(tau, n)
-        assert (_average_green_over_cyclic(shared, n, subs, log_targets, DEFAULT_TOL)
+        assert (shared.log_green_sums(n, [_exact_order_pairs(n)])[0]
+                == exact_order_log_green(tau, n))
+        assert (_average_green_over_cyclic(shared, n, subs, log_targets)
                 == average_green_over_cyclic(tau, n))
-        assert (_energies(shared, list(zip(isos, log_targets)), DEFAULT_TOL)
-                == [energy(iso) for iso in isos])
-        assert _torsion_product(tau, shared, n, DEFAULT_TOL) == torsion_product(tau, n)
+        assert _energies(shared, list(zip(isos, log_targets))) == [energy(iso) for iso in isos]
+        assert _torsion_product(shared, n) == torsion_product(tau, n)
 
 
-def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(monkeypatch):
+def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
     # G(-P) = G(P): a kernel sum evaluates (points + 2-torsion points) / 2
     # shifted theta sums, and average_green_over_cyclic shares them across
     # its subgroups
-    green_module = importlib.import_module("ellgreen.green")
-    real, calls = green_module.log_abs_theta_shifted, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    counts = count_calls(log_abs_theta_shifted)
 
     def count(run):
-        calls.clear()
+        counts.clear()
         run()
-        return len(calls)
+        return counts["log_abs_theta_shifted"]
 
-    monkeypatch.setattr(green_module, "log_abs_theta_shifted", counted)
     # (575 nonzero points of order dividing 24 + the 3 of order 2) / 2
     assert count(lambda: average_green_over_cyclic(TAU, 24)) == 289
     assert count(lambda: torsion_product(TAU, 30)) == 451  # (899 + 3) / 2
     assert count(lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0)))) == 6  # (11 + 1) / 2
+
+
+# ---------------------------------------------------------------------------
+# one reduction per public call
+# ---------------------------------------------------------------------------
+
+FAR_TAU = TauPoint(0.73, 0.11)  # unreduced: every call below moves it
+FAR_ISO = quotient(FAR_TAU, CyclicSubgroup(2, 1, 0))  # built outside any count
+PUBLIC_CALLS = {  # name: (call, reduce_tau calls, _log_abs_eta calls)
+    "green": (lambda: green(FAR_TAU, TorusPoint(0.3, 0.2)), 1, 1),
+    "torsion_product": (lambda: torsion_product(FAR_TAU, 4), 1, 1),
+    "exact_order_log_green": (lambda: exact_order_log_green(FAR_TAU, 4), 1, 1),
+    "log_norm_eta": (lambda: log_norm_eta(FAR_TAU), 1, 1),
+    "log_norm_delta": (lambda: log_norm_delta(FAR_TAU), 1, 1),
+    "invariants": (lambda: invariants(FAR_TAU), 1, 1),
+    "green_mean_integral": (lambda: green_mean_integral(FAR_TAU, 16), 1, 1),
+    "a_invariant_adjunction_check": (lambda: a_invariant_adjunction_check(FAR_TAU), 1, 1),
+    "two_torsion_green_check": (lambda: two_torsion_green_check(FAR_TAU), 1, 1),
+    "faltings_height": (lambda: faltings_height(CurveHeightInput(1, 0.0, (FAR_TAU,))), 1, 1),
+    # the source's record, and the target's
+    "energy": (lambda: energy(FAR_ISO), 2, 2),
+    "energy_via_a": (lambda: energy_via_a(FAR_ISO), 2, 2),
+    "green_projection_check": (lambda: green_projection_check(
+        FAR_ISO, TorusPoint(Fraction(1, 5), Fraction(2, 5)), TorusPoint(0.3, 0.2)), 2, 2),
+    # the source's record, and per quotient the target's marking and log_norm_eta
+    "average_green_over_cyclic": (lambda: average_green_over_cyclic(FAR_TAU, 4), 13, 7),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLS)
+def test_public_calls_reduce_each_torus_once(name, count_calls):
+    call, reductions, eta_products = PUBLIC_CALLS[name]
+    counts = count_calls(reduce_tau, _log_abs_eta)
+    call()
+    assert (counts["reduce_tau"], counts["_log_abs_eta"]) == (reductions, eta_products)

@@ -3,17 +3,15 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ellgreen.verify as verify
 from ellgreen.cli import main
-from ellgreen.green import _reduced
 from ellgreen.lattice import (CyclicSubgroup, TauPoint, _quotient_target, cyclic_subgroups,
                               reduce_tau)
-from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, log_abs_theta_shifted
+from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, _Torus, log_abs_theta_shifted
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,9 +29,9 @@ def test_worse_keeps_the_largest_residual_and_any_nan():
 def test_a_nan_torsion_product_fails_criterion_2(monkeypatch):
     # NaN at N = 2 only: the fold must keep it past the finite N = 3
     monkeypatch.setattr(verify, "_torsion_product",
-                        lambda tau, reduced, n, tol: math.nan if n == 2 else float(n))
-    sampled = [(tau, _reduced(tau, DEFAULT_TOL)) for tau in TAUS]
-    results = verify._check_torsion_products(sampled, 3, DEFAULT_TOL)
+                        lambda torus, n: math.nan if n == 2 else float(n))
+    sampled = [_Torus(tau, DEFAULT_TOL) for tau in TAUS]
+    results = verify._check_torsion_products(sampled, 3)
     assert [r.criterion for r in results] == [2, 2, 2]
     assert not any(r.passed for r in results)
     assert all("FAIL" in r.line() for r in results)
@@ -85,43 +83,22 @@ def test_verify_json_prints_the_committed_output(capsys):
     assert len(json.loads(out, parse_constant=reject)) == 36
 
 
-def count_calls(monkeypatch, *functions):
-    # wraps each function in every module that binds its name (ellgreen.green,
-    # as an attribute of the package, is the function green) and returns the
-    # call counts by name
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    modules = [m for name, m in sys.modules.items() if name.startswith("ellgreen.")]
-    for module in modules:
-        for fn in functions:
-            if getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
-    return counts
-
-
-def test_full_run_shares_one_table_per_tau_and_order(monkeypatch):
+def test_full_run_shares_one_table_per_tau_and_order(count_calls):
     # criteria 2, 3, 5 and 6 share one +-P table per (tau, N) and one subgroup
     # list per order: at seed 3 a full run evaluates 1760 shifted theta sums
     # and enumerates the subgroups of each order up to 30 once
-    counts = count_calls(monkeypatch, log_abs_theta_shifted, cyclic_subgroups)
+    counts = count_calls(log_abs_theta_shifted, cyclic_subgroups)
     verify.run_checks("full", 3)
     assert counts["log_abs_theta_shifted"] <= 1760
     assert counts["cyclic_subgroups"] == 30
 
 
-def test_full_run_builds_each_quotient_torus_once(monkeypatch):
+def test_full_run_builds_each_quotient_torus_once(count_calls):
     # criteria 3 and 5 share the 354 quotients of the three sampled tau, each
     # built and its eta product summed once: the other 100 quotients are
     # criterion 4's, and the eta products and reductions left are the other
     # criteria's
-    counts = count_calls(monkeypatch, _log_abs_eta, _quotient_target, reduce_tau,
-                         log_abs_theta_shifted)
+    counts = count_calls(_log_abs_eta, _quotient_target, reduce_tau, log_abs_theta_shifted)
     verify.run_checks("full", 3)
     assert counts["_log_abs_eta"] <= 671
     assert counts["_quotient_target"] <= 454
