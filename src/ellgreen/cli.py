@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .green import (
     energy,
@@ -27,7 +26,7 @@ from .heights import (
     cyclic_subgroup_count,
     faltings_height,
 )
-from .lattice import CyclicSubgroup, TauPoint, TorusPoint, quotient, reduce_tau
+from .lattice import CyclicSubgroup, TauPoint, TorusPoint, _Value, quotient, reduce_tau
 from .modular import SeriesTolerance, invariants
 from .verify import run_checks
 from .weierstrass import eisenstein, half_period_roots, periods_from_curve, thomae_residuals
@@ -67,13 +66,23 @@ def parse_subgroup(text: str) -> tuple[int, int, int]:
     return u, v, n
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    tolerance_used: float = 0.0
+class OutputRecord(_Value):
+    """What one subcommand prints; unlike the library's values, mutable and unhashable."""
+
+    __slots__ = __match_args__ = ("command", "inputs", "results", "residuals", "tolerance_used")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, command: str, inputs: dict | None = None, results: dict | None = None,
+                 residuals: dict | None = None, tolerance_used: float = 0.0):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.results = {} if results is None else results
+        self.residuals = {} if residuals is None else residuals
+        self.tolerance_used = tolerance_used
+
+
+def _fields(value: _Value) -> dict:
+    return dict(zip(value.__match_args__, value._astuple()))
 
 
 def _fmt(value) -> str:
@@ -91,7 +100,7 @@ def _strict(value):
 
 def render(record: OutputRecord, as_json: bool) -> str:
     if as_json:
-        return json.dumps(_strict(asdict(record)), indent=2, allow_nan=False)
+        return json.dumps(_strict(_fields(record)), indent=2, allow_nan=False)
     lines = [f"command: {record.command}"]
     for section in ("inputs", "results", "residuals"):
         entries = getattr(record, section)
@@ -292,7 +301,7 @@ def cmd_faltings(args, tol) -> OutputRecord:
 def cmd_verify(args, tol) -> int:
     results = run_checks(level=args.level, seed=args.seed, tol=tol)
     if args.json:
-        payload = [_strict({**asdict(r), "passed": r.passed}) for r in results]
+        payload = [_strict({**_fields(r), "passed": r.passed}) for r in results]
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for r in results:

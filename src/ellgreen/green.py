@@ -10,7 +10,6 @@ sum of log G here is evaluated on one `modular._Torus` record per torus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
 
@@ -19,8 +18,10 @@ from .lattice import (
     Isogeny,
     TauPoint,
     TorusPoint,
+    _Value,
     _kernel_pairs,
     _mod_one,
+    _set,
     _torsion_pairs,
     transport_point,
 )
@@ -38,23 +39,23 @@ from .modular import (
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class GreenValue:
+class GreenValue(_Value):
     """A Green-function value together with its logarithm (nats).
 
     value == exp(log_value); the exact zero on the diagonal is reported as
     value = 0.0 with log_value = -inf.
     """
 
-    value: float
-    log_value: float
+    __slots__ = __match_args__ = ("value", "log_value")
 
-    def __post_init__(self):
-        if self.value == 0.0:
-            if self.log_value != -math.inf:
+    def __init__(self, value: float, log_value: float):
+        if value == 0.0:
+            if log_value != -math.inf:
                 raise ValueError("a zero value must carry log_value = -inf")
-        elif abs(self.value - math.exp(self.log_value)) > 1e-12 * self.value:
+        elif abs(value - math.exp(log_value)) > 1e-12 * value:
             raise ValueError("value and log_value disagree")
+        _set(self, "value", value)
+        _set(self, "log_value", log_value)
 
     @classmethod
     def from_log(cls, log_value: float) -> "GreenValue":
@@ -190,15 +191,19 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     Estimates lim_{z->0} |z| / G(0, z) along z = t*direction by Richardson
     extrapolation in t^2 (t = 1e-2, 5e-3, 2.5e-3); the limit divided by
     sqrt(Im tau) must equal the omega_norm invariant.
+
+    Raises ArithmeticError, naming the value and its log, where ||eta||^2
+    or a sampled G is not a normal double (from a reduced Im tau of ~1350).
     """
     torus = _Torus(tau, tol)
-    a_closed = 1.0 / (_TWO_PI * math.exp(2.0 * torus.log_norm_eta))
+    a_closed = 1.0 / (_TWO_PI * _exp_normal(2.0 * torus.log_norm_eta, "||eta||^2",
+                                            "2 log||eta||"))
 
     def ratio(t: float) -> float:
         zc = t * direction
         b = zc.imag / torus.red.im
         a = zc.real - b * torus.red.re
-        return abs(zc) / math.exp(torus.log_green(a % 1.0, b % 1.0))
+        return abs(zc) / _exp_log_green(torus.log_green(a % 1.0, b % 1.0), torus)
 
     r1 = ratio(1e-2)
     r2 = ratio(5e-3)

@@ -9,15 +9,16 @@ consumed as user input; only the archimedean part is computed here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .green import green  # noqa: F401  perfbench/tests reads green
 from .lattice import (
     CyclicSubgroup,
     TauPoint,
+    _Value,
     _exact_order_pairs,
     _quotient_target,
+    _set,
     _subgroup_pairs,
     cyclic_subgroups,
 )
@@ -87,8 +88,7 @@ def average_height_increment(n: int) -> float:
     return 0.5 * math.log(n) - cyclic_log_green_constant(n)
 
 
-@dataclass(frozen=True)
-class AverageHeightReport:
+class AverageHeightReport(_Value):
     """Both sides of the averaged quotient identities at one (tau, n).
 
     green_average should equal green_predicted (the closed-form constant);
@@ -96,11 +96,16 @@ class AverageHeightReport:
     delta_predicted = (1/2) log n - green_predicted.
     """
 
-    n: int
-    green_average: float
-    green_predicted: float
-    delta_average: float
-    delta_predicted: float
+    __slots__ = __match_args__ = ("n", "green_average", "green_predicted", "delta_average",
+                                  "delta_predicted")
+
+    def __init__(self, n: int, green_average: float, green_predicted: float,
+                 delta_average: float, delta_predicted: float):
+        _set(self, "n", n)
+        _set(self, "green_average", green_average)
+        _set(self, "green_predicted", green_predicted)
+        _set(self, "delta_average", delta_average)
+        _set(self, "delta_predicted", delta_predicted)
 
     @property
     def green_residual(self) -> float:
@@ -140,8 +145,7 @@ def _average_green_over_cyclic(torus: _Torus, n: int, subs: list[CyclicSubgroup]
     )
 
 
-@dataclass(frozen=True)
-class CurveHeightInput:
+class CurveHeightInput(_Value):
     """Inputs of the explicit height formula for a curve over a number field:
     the field degree, log of the minimal-discriminant norm (nats), and one
     tau per complex embedding.
@@ -149,19 +153,20 @@ class CurveHeightInput:
     Raises ValueError for a degree that is not an integer >= 1, a log norm
     that is negative or not finite, or no embedding."""
 
-    degree: int
-    log_norm_min_disc: float
-    embeddings: tuple[TauPoint, ...]
+    __slots__ = __match_args__ = ("degree", "log_norm_min_disc", "embeddings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"field degree must be an integer >= 1, got {self.degree!r}")
-        if not 0.0 <= self.log_norm_min_disc < math.inf:
+    def __init__(self, degree: int, log_norm_min_disc: float, embeddings: tuple[TauPoint, ...]):
+        embeddings = tuple(embeddings)
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+            raise ValueError(f"field degree must be an integer >= 1, got {degree!r}")
+        if not 0.0 <= log_norm_min_disc < math.inf:
             raise ValueError("log of a discriminant norm must be finite and >= 0, "
-                             f"got {self.log_norm_min_disc!r}")
-        if not self.embeddings:
+                             f"got {log_norm_min_disc!r}")
+        if not embeddings:
             raise ValueError("at least one complex embedding is required")
+        _set(self, "degree", degree)
+        _set(self, "log_norm_min_disc", log_norm_min_disc)
+        _set(self, "embeddings", embeddings)
 
 
 def faltings_height(inp: CurveHeightInput,

@@ -9,31 +9,65 @@ coordinates, and builds quotient tori (isogenies) from cyclic subgroups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
-Coord = Union[Fraction, float]
+Coord = Fraction | float
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 _IDENTITY: IntMatrix = ((1, 0), (0, 1))
 _REDUCE_MAX_STEPS = 512
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class _Value:
+    """An immutable value whose fields are named, in order, by the class's
+    `__match_args__`: equal to a value of the same class with equal fields,
+    hashed and printed as Name(field=value, ...), and AttributeError on
+    assignment or deletion.  Pickling and copying go back through the
+    constructor, so a subclass's __init__ (which sets its slots with `_set`)
+    must accept its own fields."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class TauPoint(_Value):
     """A point tau = re + i*im of the upper half plane, marking the torus
     C/(Z + tau*Z)."""
 
-    re: float
-    im: float
+    __slots__ = __match_args__ = ("re", "im")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"tau must be finite, got {self.re!r} + {self.im!r}i")
-        if self.im <= 0.0:
-            raise ValueError(f"tau must have Im tau > 0, got Im tau = {self.im!r}")
+    def __init__(self, re: float, im: float):
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"tau must be finite, got {re!r} + {im!r}i")
+        if im <= 0.0:
+            raise ValueError(f"tau must have Im tau > 0, got Im tau = {im!r}")
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @classmethod
     def from_complex(cls, z: complex) -> "TauPoint":
@@ -44,8 +78,7 @@ class TauPoint:
         return complex(self.re, self.im)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Value):
     """A torus point a + b*tau in lattice coordinates, reduced mod 1.
 
     Coordinates are exact Fractions for torsion points (so equality tests
@@ -53,12 +86,16 @@ class TorusPoint:
     Fractions.  The zero point is exactly (0, 0).
     """
 
-    a: Coord
-    b: Coord
+    __slots__ = __match_args__ = ("a", "b")
+
+    def __init__(self, a: Coord, b: Coord):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _mod_one(self.a, "a"))
-        object.__setattr__(self, "b", _mod_one(self.b, "b"))
+        _set(self, "a", _mod_one(self.a, "a"))
+        _set(self, "b", _mod_one(self.b, "b"))
 
     @property
     def is_zero(self) -> bool:
@@ -171,8 +208,7 @@ def _normal_form(n: int, u: int, v: int) -> tuple[int, int]:
     return x, h % n
 
 
-@dataclass(frozen=True)
-class CyclicSubgroup:
+class CyclicSubgroup(_Value):
     """A cyclic order-N subgroup of the N-torsion of a torus.
 
     Stored by its canonical generator (u, v)/N: the lexicographically
@@ -183,22 +219,17 @@ class CyclicSubgroup:
     and u the least x = s*u mod N/h with gcd(x, h) = 1, where s*v = h mod N.
     """
 
-    order: int
-    u: int
-    v: int
+    __slots__ = __match_args__ = ("order", "u", "v")
 
-    def __post_init__(self):
-        n = self.order
-        if n < 1:
-            raise ValueError(f"subgroup order must be >= 1, got {n}")
-        u, v = self.u % n, self.v % n
-        if gcd(gcd(u, v), n) != 1:
-            raise ValueError(
-                f"generator ({self.u}, {self.v}) does not have exact order {n}"
-            )
-        u, v = _normal_form(n, u, v)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+    def __init__(self, order: int, u: int, v: int):
+        if order < 1:
+            raise ValueError(f"subgroup order must be >= 1, got {order}")
+        if gcd(gcd(u % order, v % order), order) != 1:
+            raise ValueError(f"generator ({u}, {v}) does not have exact order {order}")
+        _set(self, "order", order)
+        u, v = _normal_form(order, u % order, v % order)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     @property
     def generator(self) -> TorusPoint:
@@ -279,8 +310,7 @@ def mult_by_n_kernel(n: int) -> list[TorusPoint]:
     return _points(n, _torsion_pairs(n))
 
 
-@dataclass(frozen=True)
-class Isogeny:
+class Isogeny(_Value):
     """A degree-N isogeny between tori given by z -> scale*z.
 
     `scale` carries source lattice coordinates into the normalised target
@@ -289,10 +319,15 @@ class Isogeny:
     when degree < 1 or when scale does not give coordinate_matrix().
     """
 
-    source: TauPoint
-    target: TauPoint
-    degree: int
-    scale: complex
+    __match_args__ = ("source", "target", "degree", "scale")
+    __slots__ = (*__match_args__, "_matrix")
+
+    def __init__(self, source: TauPoint, target: TauPoint, degree: int, scale: complex):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "degree", degree)
+        _set(self, "scale", scale)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.degree < 1:
@@ -308,7 +343,7 @@ class Isogeny:
         det = t11 * t22 - t12 * t21
         if det != self.degree:
             raise ValueError(f"coordinate map determinant {det} != degree {self.degree}")
-        object.__setattr__(self, "_matrix", ((t11, t12), (t21, t22)))
+        _set(self, "_matrix", ((t11, t12), (t21, t22)))
 
     @property
     def kernel(self) -> tuple[TorusPoint, ...]:

@@ -13,29 +13,28 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import TauPoint, TorusPoint, reduce_tau
+from .lattice import TauPoint, TorusPoint, _Value, _set, reduce_tau
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
+class SeriesTolerance(_Value):
     """Truncation control for all series evaluations."""
 
-    rel_tol: float = 1e-12
-    max_terms: int = 256
+    __slots__ = __match_args__ = ("rel_tol", "max_terms")
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be >= 8, got {self.max_terms}")
+    def __init__(self, rel_tol: float = 1e-12, max_terms: int = 256):
+        if not (0.0 < rel_tol < 1.0):
+            raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+        if max_terms < 8:
+            raise ValueError(f"max_terms must be >= 8, got {max_terms}")
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "max_terms", max_terms)
 
 
 DEFAULT_TOL = SeriesTolerance()
@@ -323,8 +322,7 @@ class _Torus:
 # Invariants of the torus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(_Value):
     """Lattice-invariant norms of a genus-1 surface.
 
     norm_eta   = (Im tau)^(1/4) |eta(tau)|
@@ -333,15 +331,16 @@ class SurfaceInvariants:
                  1 / (2*pi*norm_eta^2)
     """
 
-    norm_eta: float
-    norm_delta: float
-    omega_norm: float
+    __slots__ = __match_args__ = ("norm_eta", "norm_delta", "omega_norm")
 
-    def __post_init__(self):
-        if not (self.norm_eta > 0.0 and self.norm_delta > 0.0):
+    def __init__(self, norm_eta: float, norm_delta: float, omega_norm: float):
+        if not (norm_eta > 0.0 and norm_delta > 0.0):
             raise ValueError("invariant norms must be positive")
-        if abs(self.norm_delta - self.norm_eta ** 24) > 1e-6 * self.norm_delta:
+        if abs(norm_delta - norm_eta ** 24) > 1e-6 * norm_delta:
             raise ValueError("norm_delta must equal norm_eta^24 to working precision")
+        _set(self, "norm_eta", norm_eta)
+        _set(self, "norm_delta", norm_delta)
+        _set(self, "omega_norm", omega_norm)
 
 
 def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInvariants:

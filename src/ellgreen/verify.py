@@ -12,7 +12,6 @@ import cmath
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .green import (
@@ -33,7 +32,9 @@ from .heights import (
 from .lattice import (
     TauPoint,
     TorusPoint,
+    _Value,
     _exact_order_pairs,
+    _set,
     _subgroup_pairs,
     cyclic_subgroups,
     quotient,
@@ -58,12 +59,16 @@ from .weierstrass import (
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    name: str
-    residual: float
-    tolerance: float
+class CheckResult(_Value):
+    """One check's worst residual against its tolerance."""
+
+    __slots__ = __match_args__ = ("criterion", "name", "residual", "tolerance")
+
+    def __init__(self, criterion: int, name: str, residual: float, tolerance: float):
+        _set(self, "criterion", criterion)
+        _set(self, "name", name)
+        _set(self, "residual", residual)
+        _set(self, "tolerance", tolerance)
 
     @property
     def passed(self) -> bool:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import SeriesConvergenceError
-from .lattice import TauPoint, reduce_tau
+from .lattice import TauPoint, _Value, _set, reduce_tau
 from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _phase_row, _weight_row, delta,
                       log_abs_theta_shifted, theta)
 
@@ -23,8 +22,7 @@ _PI_SQ = math.pi * math.pi
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a primitive cube root of 1
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(_Value):
     """A curve y^2 = 4x^3 - p*x - q with nonzero discriminant p^3 - 27q^2.
 
     Near the cusp the two terms of the discriminant agree to many digits,
@@ -37,69 +35,72 @@ class WeierstrassCurve:
     the doubles); ArithmeticError where p^3 - 27q^2 is needed but leaves them.
     """
 
-    p: complex
-    q: complex
-    disc: complex | None = None
+    __slots__ = __match_args__ = ("p", "q", "disc")
 
-    def __post_init__(self):
-        for name in ("p", "q", "disc"):
-            value = getattr(self, name)
-            if value is not None:
-                value = complex(value)
-                if not cmath.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-                object.__setattr__(self, name, value)
-        if self.p == 0 and self.q == 0:
+    def __init__(self, p: complex, q: complex, disc: complex | None = None):
+        p, q = _finite_complex("p", p), _finite_complex("q", q)
+        disc = None if disc is None else _finite_complex("disc", disc)
+        if p == 0 and q == 0:
             raise ValueError("degenerate curve: p = q = 0")
         # products and hypot, not ** and abs, which raise OverflowError
-        p3, q2 = self.p * self.p * self.p, self.q * self.q
+        p3, q2 = p * p * p, q * q
         direct = p3 - 27.0 * q2
-        if self.disc is None:
+        if disc is None:
             if not cmath.isfinite(direct):
-                raise ArithmeticError(f"p^3 - 27q^2 leaves the doubles at p = {self.p!r}, "
-                                      f"q = {self.q!r}")
-            object.__setattr__(self, "disc", direct)
+                raise ArithmeticError(f"p^3 - 27q^2 leaves the doubles at p = {p!r}, "
+                                      f"q = {q!r}")
+            disc = direct
         else:
-            gap = self.disc - direct
+            gap = disc - direct
             size = math.hypot(p3.real, p3.imag) + 27.0 * math.hypot(q2.real, q2.imag)
             if math.isfinite(size) and math.hypot(gap.real, gap.imag) > 1e-10 * size:
-                raise ValueError(f"disc = {self.disc!r} disagrees with p^3 - 27q^2 by {gap!r}")
-        if self.disc == 0:
+                raise ValueError(f"disc = {disc!r} disagrees with p^3 - 27q^2 by {gap!r}")
+        if disc == 0:
             raise ValueError("degenerate curve: p^3 - 27 q^2 = 0")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "disc", disc)
 
     @property
     def discriminant(self) -> complex:
         return self.disc
 
 
-@dataclass(frozen=True)
-class PeriodData:
+def _finite_complex(name: str, value) -> complex:
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+class PeriodData(_Value):
     """An oriented period basis (omega1, omega2) with tau = omega2/omega1."""
 
-    omega1: complex
-    omega2: complex
-    tau: TauPoint
+    __slots__ = __match_args__ = ("omega1", "omega2", "tau")
 
-    def __post_init__(self):
-        ratio = self.omega2 / self.omega1
-        if abs(ratio - self.tau.z) > 1e-9 * (1.0 + abs(ratio)):
+    def __init__(self, omega1: complex, omega2: complex, tau: TauPoint):
+        ratio = omega2 / omega1
+        if abs(ratio - tau.z) > 1e-9 * (1.0 + abs(ratio)):
             raise ValueError("tau does not match omega2/omega1")
+        _set(self, "omega1", omega1)
+        _set(self, "omega2", omega2)
+        _set(self, "tau", tau)
 
 
-@dataclass(frozen=True)
-class RootTriple:
+class RootTriple(_Value):
     """Roots of 4x^3 - p*x - q, ordered by the theta-difference convention:
     alpha1 - alpha3 = pi^2 theta(0)^4, alpha1 - alpha2 = pi^2 theta(1/2)^4."""
 
-    alpha1: complex
-    alpha2: complex
-    alpha3: complex
+    __slots__ = __match_args__ = ("alpha1", "alpha2", "alpha3")
 
-    def __post_init__(self):
-        total = self.alpha1 + self.alpha2 + self.alpha3
-        scale = max(abs(self.alpha1), abs(self.alpha2), abs(self.alpha3), 1.0)
+    def __init__(self, alpha1: complex, alpha2: complex, alpha3: complex):
+        total = alpha1 + alpha2 + alpha3
+        scale = max(abs(alpha1), abs(alpha2), abs(alpha3), 1.0)
         if abs(total) > 1e-8 * scale:
             raise ValueError("roots of a depressed cubic must sum to zero")
+        _set(self, "alpha1", alpha1)
+        _set(self, "alpha2", alpha2)
+        _set(self, "alpha3", alpha3)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.alpha1, self.alpha2, self.alpha3)

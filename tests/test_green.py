@@ -389,6 +389,17 @@ def test_adjunction_reduces_internally():
     assert a_invariant_adjunction_check(TauPoint(0.5, 0.9)) < 1e-6
 
 
+@pytest.mark.parametrize("im,named", [(1350.0, r"^G underflows a normal double: log G = "),
+                                      (1400.0, r"^\|\|eta\|\|\^2 underflows"),
+                                      (3000.0, r"^\|\|eta\|\|\^2 underflows")])
+def test_adjunction_raises_a_named_error_in_the_cusp(im, named):
+    # ||eta||^2 and G near the origin leave the normal doubles: a NaN residual
+    # or a ZeroDivisionError before
+    with pytest.raises(ArithmeticError, match=named) as caught:
+        a_invariant_adjunction_check(TauPoint(0.1, im))
+    assert type(caught.value) is ArithmeticError
+
+
 def test_mean_integral_rejects_small_grid():
     with pytest.raises(ValueError):
         green_mean_integral(TAU, 8)

@@ -14,13 +14,16 @@ import ellgreen, ellgreen.cli, ellgreen.verify
 ellgreen.verify.run_checks("quick", 1)
 foreign = {name.partition(".")[0] for name in sys.modules} - set(sys.stdlib_module_names)
 assert foreign == {"__main__", "ellgreen"}, sorted(foreign)
+heavy = {"dataclasses", "inspect", "typing"} & set(sys.modules)
+assert not heavy, sorted(heavy)
 """
 
 
 def test_library_runs_on_the_standard_library_alone():
     # a fresh interpreter without site-packages (-S), so neither an installed
     # package nor a module the test process already imported (mpmath,
-    # hypothesis) can hide an import outside the standard library
+    # hypothesis) can hide an import outside the standard library; nor one of
+    # the slow-to-import standard modules, which every CLI run would pay for
     done = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(SRC)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
