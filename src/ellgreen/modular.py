@@ -2,10 +2,14 @@
 and their normalised (lattice-invariant) versions.
 
 All q-series are truncated adaptively against a relative tolerance.  Every
-theta value comes from one shifted sum, a weight row times a phase row with
-its dominant term taken out as a log, so its terms are bounded by 1 and it
-neither overflows nor underflows whatever the point or Im tau.  `_Torus`, one
-reduced torus, is the record every value and sum of log G is evaluated on.
+theta value comes from one shifted sum with its dominant term taken out as a
+log, so its terms are bounded by 1 and it neither overflows nor underflows
+whatever the point or Im tau.  It has two forms that give the same bits: a
+one-point loop (`_shifted_sum`) for theta, theta', ||theta|| and single
+values of log G, and a weight row times a phase row (`log_abs_theta_shifted`)
+for the +-P tables and the midpoint grid, where many points share rows.
+`_Torus`, one reduced torus, is the record every value and sum of log G is
+evaluated on.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 # row of c (e^k, e = exp(2*pi*i*c)), both over k = 1..K, -1..-K.  |w_k| <= 1,
 # so the scaled sum is of order 1 at any Im tau, and small only near a zero of
 # theta.  w_(k+1) / w_k = w_1 * q^k with q = exp(2*pi*i*tau) (and alike from
-# w_-1), so rows are running products, no exponential per term.
+# w_-1), so rows are running products, no exponential per term.  One point
+# on its own forms the same products in one loop and builds no row.
 
 _SUM_FLOOR = 4.0 * sys.float_info.epsilon  # a few rounding errors of order-1 terms
 _WeightRow = tuple[int, float, list[complex]]  # (n0, -pi*Im(tau)*m0^2, weights)
@@ -144,12 +149,18 @@ def gaussian_half_width(tau_im: float, rel_tol: float) -> int:
     return math.ceil(math.sqrt(max(math.log(1.0 / rel_tol), 1.0) / (_PI * tau_im))) + 1
 
 
-def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
-    # the weight row of d; the only place that checks the window against max_terms
+def _window(tau: TauPoint, tol: SeriesTolerance) -> int:
+    # K, checked against max_terms: every weight row and one-point sum passes here
     half = gaussian_half_width(tau.im, tol.rel_tol)
     if 2 * half + 2 > tol.max_terms:
         raise SeriesConvergenceError(f"shifted theta sum needs {2 * half + 2} terms > max_terms="
                                      f"{tol.max_terms} (Im tau = {tau.im}; reduce tau first)")
+    return half
+
+
+def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
+    # the weight row of d
+    half = _window(tau, tol)
     n0 = round(-d)
     m0 = n0 + d
     t = 1j * _PI * tau.z
@@ -173,26 +184,68 @@ def _phase_row(c: float, tau: TauPoint, tol: SeriesTolerance) -> list[complex]:
     return powers + [p.conjugate() for p in powers]
 
 
-def _scaled_sum(weights: list[complex], phases: list[complex], centre: complex = 1.0) -> complex:
-    # the centre term (1, or n0 for theta') goes last, after the smaller ones,
-    # so the sum rounds once at its own scale
-    return centre + sum(map(mul, weights, phases))
+def _scaled_sum(weights: list[complex], phases: list[complex]) -> complex:
+    # the centre term 1 goes last, after the smaller ones, so the sum rounds
+    # once at its own scale
+    return 1.0 + sum(map(mul, weights, phases))
+
+
+def _shifted_sum(c: float, d: float, tau: TauPoint, tol: SeriesTolerance,
+                 deriv: bool = False) -> tuple[int, float, complex]:
+    # (n0, lead, scaled sum) of one point in one pass, bit for bit what
+    # _weight_row(d) and _scaled_sum(weights, _phase_row(c)) give: the same
+    # running products, added in the same order (k = 1..K, then -1..-K, as
+    # CPython 3.11's sum adds complex numbers).  For theta' each term is
+    # times n0 + k and the centre is n0.
+    half = _window(tau, tol)
+    n0 = round(-d)
+    m0 = n0 + d
+    t = 1j * _PI * tau.z
+    q = cmath.exp(2.0 * t)
+    e = cmath.exp(2j * _PI * c)
+    total = 0j
+    for w, phase, sign in ((cmath.exp(t * (1.0 + 2.0 * m0)), e, 1),
+                           (cmath.exp(t * (1.0 - 2.0 * m0)), e.conjugate(), -1)):
+        step, p = w, phase
+        total += ((n0 + sign) * w) * p if deriv else w * p
+        for k in range(2, half + 1):
+            step *= q
+            w *= step
+            p *= phase
+            total += ((n0 + sign * k) * w) * p if deriv else w * p
+    return n0, -_PI * tau.im * m0 ** 2, (n0 if deriv else 1.0) + total
+
+
+def _near_zero(size: float) -> ArithmeticError:
+    return ArithmeticError(f"the point is within rounding of a zero of theta: the scaled "
+                           f"theta sum is {size!r}, so its log has no correct digit")
 
 
 def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
     the weight row of d (`_weight_row`) and the phase row of c (`_phase_row`).
 
-    The dominant term's modulus exp(-pi*Im(tau)*m0^2) enters as a log, so
-    nothing under- or overflows at any Im tau.  Raises ArithmeticError where
-    the scaled sum is within a few rounding errors of 0 (c + d*tau within
-    about 1e-16 of a zero of theta): no digit of the log survives there.
+    This row form serves the +-P tables of `_Torus.log_green_sums`, where
+    many points share rows; one point on its own goes through `_shifted_sum`,
+    which gives the same bits.  The dominant term's modulus
+    exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under- or overflows at
+    any Im tau.  Raises ArithmeticError where the scaled sum is within a few
+    rounding errors of 0 (c + d*tau within about 1e-16 of a zero of theta):
+    no digit of the log survives there.
     """
     _, lead, weights = row
     size = abs(_scaled_sum(weights, phases))
     if size < _SUM_FLOOR:
-        raise ArithmeticError(f"the point is within rounding of a zero of theta: the scaled "
-                              f"theta sum is {size!r}, so its log has no correct digit")
+        raise _near_zero(size)
+    return math.log(size) + lead
+
+
+def _log_abs_shifted(c: float, d: float, tau: TauPoint, tol: SeriesTolerance) -> float:
+    # log_abs_theta_shifted of one point, from _shifted_sum
+    _, lead, total = _shifted_sum(c, d, tau, tol)
+    size = abs(total)
+    if size < _SUM_FLOOR:
+        raise _near_zero(size)
     return math.log(size) + lead
 
 
@@ -204,14 +257,9 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
         raise ValueError(f"theta needs a finite z, got {z!r}")
     d = z.imag / tau.im
     c = (z.real - d * tau.re) % 1.0
-    n0, _, weights = _weight_row(d, tau, tol)
-    phases = _phase_row(c, tau, tol)
+    n0, _, total = _shifted_sum(c, d, tau, tol, deriv)
     if deriv:
-        half = len(weights) // 2
-        ns = [*range(n0 + 1, n0 + half + 1), *range(n0 - 1, n0 - half - 1, -1)]
-        total = 2j * _PI * _scaled_sum([n * w for n, w in zip(ns, weights)], phases, n0)
-    else:
-        total = _scaled_sum(weights, phases)
+        total = 2j * _PI * total
     lead = 1j * _PI * (tau.z * (n0 * (n0 + 2.0 * d)) + 2.0 * n0 * c)
     try:
         value = cmath.exp(lead) * total
@@ -246,8 +294,8 @@ def log_norm_theta(point: TorusPoint, tau: TauPoint,
                    tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """log ||theta||(a + b*tau; tau).  Raises ArithmeticError within about
     1e-16 of a zero of theta, as log_abs_theta_shifted."""
-    row, phases = _weight_row(float(point.b) % 1.0, tau, tol), _phase_row(float(point.a), tau, tol)
-    return 0.25 * math.log(tau.im) + log_abs_theta_shifted(row, phases)
+    return 0.25 * math.log(tau.im) + _log_abs_shifted(float(point.a), float(point.b) % 1.0,
+                                                      tau, tol)
 
 
 def norm_theta(point: TorusPoint, tau: TauPoint,
@@ -256,9 +304,9 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
     at z = a + b*tau, an invariant of the point class.  Formed without a log:
     accurate to about 1e-16 absolute near a zero of theta, where log_norm_theta
     raises.  Raises ArithmeticError where its dominant term is not a normal double."""
-    _, lead, weights = _weight_row(float(point.b) % 1.0, tau, tol)
+    _, lead, total = _shifted_sum(float(point.a), float(point.b) % 1.0, tau, tol)
     scale = _exp_normal(0.25 * math.log(tau.im) + lead, "||theta||", "log of its dominant term")
-    return scale * abs(_scaled_sum(weights, _phase_row(float(point.a), tau, tol)))
+    return scale * abs(total)
 
 
 class _Torus:
@@ -280,9 +328,8 @@ class _Torus:
 
     def log_green(self, a: float, b: float) -> float:
         # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
-        red, tol = self.red, self.tol
-        return (log_abs_theta_shifted(_weight_row((b + 0.5) % 1.0, red, tol),
-                                      _phase_row((a + 0.5) % 1.0, red, tol)) - self.log_eta)
+        return (_log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, self.red, self.tol)
+                - self.log_eta)
 
     def log_green_sums(self, n: int, pair_lists: list[list[tuple[int, int]]]) -> list[float]:
         # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n

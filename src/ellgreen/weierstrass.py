@@ -14,8 +14,7 @@ from itertools import permutations
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, _Value, _set, reduce_tau
-from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _phase_row, _weight_row, delta,
-                      log_abs_theta_shifted, theta)
+from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_shifted, delta, theta
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -289,7 +288,7 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     # constant|, straight from the shifted sums S(1/2, 0), S(0, 0) and
     # S(0, 1/2) (subtracting stored roots would lose the small distance)
     log_dist = {
-        pair: 4.0 * log_abs_theta_shifted(_weight_row(d, tau, tol), _phase_row(c, tau, tol))
+        pair: 4.0 * _log_abs_shifted(c, d, tau, tol)
         for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
     out, torus = [], _Torus(tau, tol)

@@ -3,15 +3,23 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellgreen.errors import SeriesConvergenceError
+from ellgreen.green import a_invariant_adjunction_check, green, green_mean_integral
 from ellgreen.lattice import TauPoint, TorusPoint
 from ellgreen.modular import (
+    DEFAULT_TOL,
     SeriesTolerance,
+    _phase_row,
+    _scaled_sum,
+    _shifted_sum,
+    _weight_row,
+    log_abs_theta_shifted,
     delta,
     eta,
     invariants,
@@ -22,6 +30,7 @@ from ellgreen.modular import (
     theta,
     theta_dz,
 )
+from ellgreen.weierstrass import two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
 PI = math.pi
@@ -319,3 +328,79 @@ def test_surface_invariants_validated():
         SurfaceInvariants(norm_eta=1.0, norm_delta=2.0, omega_norm=0.1)
     with pytest.raises(ValueError):
         SurfaceInvariants(norm_eta=-1.0, norm_delta=1.0, omega_norm=0.1)
+
+
+# ---------------------------------------------------------------------------
+# one point, one loop: the same bits as the row form
+# ---------------------------------------------------------------------------
+
+def row_form(c, d, tau, tol, deriv):
+    # (n0, lead, scaled sum) from a weight row and a phase row; for theta'
+    # each term is weighted by n0 + k and the centre is n0
+    n0, lead, weights = _weight_row(d, tau, tol)
+    phases = _phase_row(c, tau, tol)
+    if not deriv:
+        return n0, lead, _scaled_sum(weights, phases)
+    half = len(weights) // 2
+    ns = [*range(n0 + 1, n0 + half + 1), *range(n0 - 1, n0 - half - 1, -1)]
+    return n0, lead, n0 + sum(map(mul, [n * w for n, w in zip(ns, weights)], phases))
+
+
+def outcome(form, *args):
+    try:
+        return form(*args)
+    except SeriesConvergenceError as exc:
+        return str(exc)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(math.log(3e-3), math.log(3000.0)).map(math.exp),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.sampled_from([DEFAULT_TOL, SeriesTolerance(1e-15, 512), SeriesTolerance(1e-6, 64)]),
+       st.booleans())
+@settings(max_examples=400)
+def test_one_point_sum_is_the_row_form_bit_for_bit(re_tau, im_tau, c, d, tol, deriv):
+    # == on n0, the lead and the scaled sum, or the same window error
+    tau = TauPoint(re_tau, im_tau)
+    assert outcome(_shifted_sum, c, d, tau, tol, deriv) == outcome(row_form, c, d, tau, tol, deriv)
+
+
+def test_one_point_sum_raises_the_row_form_errors():
+    # theta's window at Im tau = 1e-4 needs 598 terms
+    tau = TauPoint(0.1, 1e-4)
+    with pytest.raises(SeriesConvergenceError) as rows:
+        _weight_row(0.0, tau, DEFAULT_TOL)
+    assert "needs 598 terms" in str(rows.value)
+    with pytest.raises(SeriesConvergenceError, match=f"^{re.escape(str(rows.value))}$"):
+        theta(0.1, tau)
+    # (1/2, 1/2) is the zero of theta
+    tau = TauPoint(0.1, 1.3)
+    with pytest.raises(ArithmeticError) as rows:
+        log_abs_theta_shifted(_weight_row(0.5, tau, DEFAULT_TOL), _phase_row(0.5, tau, DEFAULT_TOL))
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(str(rows.value))}$"):
+        log_norm_theta(TorusPoint(0.5, 0.5), tau)
+
+
+ONE_POINT_CALLS = {
+    "green": lambda: green(TAU, TorusPoint(0.3, 0.2)),
+    "green_mean_integral": lambda: green_mean_integral(TAU, 16),
+    "a_invariant_adjunction_check": lambda: a_invariant_adjunction_check(TAU),
+    "theta": lambda: theta(0.3 + 0.1j, TAU),
+    "theta_dz": lambda: theta_dz(0.3 + 0.1j, TAU),
+    "norm_theta": lambda: norm_theta(TorusPoint(0.3, 0.2), TAU),
+    "log_norm_theta": lambda: log_norm_theta(TorusPoint(0.3, 0.2), TAU),
+}
+
+
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_one_point_calls_build_no_rows(name, count_calls):
+    counts = count_calls(_weight_row, _phase_row)
+    ONE_POINT_CALLS[name]()
+    assert (counts["_weight_row"], counts["_phase_row"]) == (0, 0)
+
+
+def test_two_torsion_check_builds_rows_for_its_table_only(count_calls):
+    # the n = 2 table's two weight and two phase rows; the three theta
+    # constants behind the root distances are one-point sums
+    counts = count_calls(_weight_row, _phase_row)
+    two_torsion_green_check(TAU)
+    assert (counts["_weight_row"], counts["_phase_row"]) == (2, 2)
