@@ -1,9 +1,29 @@
+import importlib
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from ellgreen.cli import main, parse_complex, parse_subgroup
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the README's CLI block; None stands for the path of the faltings input file
+README_COMMANDS = (
+    ("invariants", "--tau", "0+1i"),
+    ("green", "--tau", "0.13+1.32i", "--z", "0.3+0.2i"),
+    ("torsion-product", "--tau", "0+1i", "--n", "5"),
+    ("energy", "--tau", "0+1i", "--subgroup", "1,0,2"),
+    ("average", "--tau", "0.2+1.5i", "--n", "12"),
+    ("weierstrass", "--tau", "0+1i"),
+    ("periods", "--p", "4+0i", "--q", "0+0i"),
+    ("faltings", "--input", None),
+)
+README_FALTINGS_INPUT = {"degree": 1, "log_norm_min_disc": 0.0,
+                         "embeddings": [{"re": 0.0, "im": 1.0}]}
+SUBCOMMANDS = tuple(argv[0] for argv in README_COMMANDS) + ("verify",)
 
 
 def run_cli(capsys, *argv):
@@ -255,3 +275,62 @@ def test_verify_json_writes_a_nan_residual_as_a_string(capsys, monkeypatch):
     checks = strict_json(out)
     assert checks[0]["residual"] == "nan" and checks[0]["passed"] is False
     assert all(c["passed"] for c in checks[1:])
+
+
+# ---------------------------------------------------------------------------
+# golden output: every byte the CLI prints for the README's commands, the
+# help screens and the error paths
+# ---------------------------------------------------------------------------
+
+def golden(name):
+    return (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_prints_the_committed_output(argv, as_json, tmp_path, capsys):
+    if argv[-1] is None:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(README_FALTINGS_INPUT))
+        argv = (*argv[:-1], str(path))
+    code, out, err = run_cli(capsys, *(["--json"] if as_json else []), *argv)
+    assert (code, err) == (0, "")
+    assert out == golden(f"cli-{argv[0]}.{'json' if as_json else 'txt'}")
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_prints_the_committed_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == golden(f"help-{command}.txt" if command else "help.txt")
+
+
+@pytest.mark.parametrize("name,argv,code", [
+    ("invariants-lower-half-plane", ("invariants", "--tau", "1-1i"), 3),
+    ("periods-degenerate", ("periods", "--p", "0+0i", "--q", "0+0i"), 3),
+])
+def test_domain_error_prints_the_committed_message(name, argv, code, capsys):
+    assert run_cli(capsys, *argv) == (code, "", golden(f"error-{name}.txt"))
+
+
+def test_missing_flag_prints_the_committed_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", golden("error-invariants-missing-tau.txt"))
+
+
+def test_console_script_prints_the_committed_output(capsys, monkeypatch):
+    # the `ellgreen` command every README line runs is pyproject's script target
+    pyproject = (GOLDEN.parent.parent / "pyproject.toml").read_text()
+    module, function = re.search(r'^ellgreen = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    entry = getattr(importlib.import_module(module), function)
+    monkeypatch.setattr(sys, "argv", ["ellgreen", "verify", "--level", "quick", "--seed", "7"])
+    assert entry() == 0
+    assert capsys.readouterr().out == golden("verify-quick-seed7.txt")
