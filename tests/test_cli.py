@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ellgreen.cli import main, parse_complex, parse_subgroup
+from ellgreen.cli import COMMANDS, main, parse_complex, parse_subgroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the README's CLI block; None stands for the path of the faltings input file
@@ -324,6 +324,15 @@ def test_missing_flag_prints_the_committed_usage(capsys, monkeypatch):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", golden("error-invariants-missing-tau.txt"))
+
+
+def test_readme_cli_block_names_each_subcommand_once():
+    # the README block is what users copy and the benchmark replays; the golden
+    # tests above pin every subcommand of the table
+    readme = (GOLDEN.parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    assert sorted(re.findall(r"^ellgreen ([a-z-]+)", block, re.M)) == sorted(COMMANDS)
+    assert SUBCOMMANDS == tuple(COMMANDS)
 
 
 def test_console_script_prints_the_committed_output(capsys, monkeypatch):
