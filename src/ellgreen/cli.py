@@ -43,12 +43,15 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' (no spaces); plain reals are accepted too."""
+    """Parse 'a+bi' / 'a-bi' (no spaces); plain reals are accepted too.  A part
+    too large for a double is a parse error, not an infinite coordinate."""
     m = _COMPLEX_RE.match(text)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
     re_part = float(m.group("re")) if m.group("re") else 0.0
     im_part = float(m.group("im")) if m.group("im") else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} overflows a double")
     return complex(re_part, im_part)
 
 

@@ -46,7 +46,7 @@ def test_parse_complex_forms():
 def test_parse_complex_rejects_garbage():
     import argparse
 
-    for bad in ("", "i", "1+2j", "one+2i"):
+    for bad in ("", "i", "1+2j", "one+2i", "1e999+0i", "0+1e999i"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex(bad)
 
@@ -79,6 +79,19 @@ def test_invariants_rejects_lower_half_plane(capsys):
     code, _, err = run_cli(capsys, "invariants", "--tau", "1-1i")
     assert code == 3
     assert "Im tau" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("green", "--tau", "0+1i", "--z", "1e999+0i"), "--z"),
+    (("invariants", "--tau", "1e999+1i"), "--tau"),
+    (("periods", "--p", "1e999+0i", "--q", "0+0i"), "--p"),
+], ids=["green", "invariants", "periods"])
+def test_overflowing_literal_is_a_usage_error(argv, flag, capsys):
+    # float("1e999") is inf; it is rejected at parse time, not as a domain error
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: complex number '1e999" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
