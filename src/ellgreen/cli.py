@@ -19,9 +19,18 @@ import math
 import re
 import sys
 
-from .green import energy, energy_via_a, green, torsion_product
-from .heights import (CurveHeightInput, average_green_over_cyclic, cyclic_subgroup_count,
-                      faltings_height)
+from .green import (
+    energy,
+    energy_via_a,
+    green,
+    torsion_product,
+)
+from .heights import (
+    CurveHeightInput,
+    average_green_over_cyclic,
+    cyclic_subgroup_count,
+    faltings_height,
+)
 from .lattice import CyclicSubgroup, TauPoint, TorusPoint, quotient, reduce_tau
 from .modular import SeriesTolerance, invariants
 from .verify import run_checks
@@ -109,11 +118,11 @@ def _re_im(**values) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-COMMANDS: dict = {}  # name -> (help line, {flag: add_argument keywords}, handler)
+COMMANDS: dict = {}  # name -> (help line, flags, handler), filled at import by @command
 
 
 def command(name: str, summary: str, /, **flags):
-    """Declare the subcommand `name` with its help line and its --flags."""
+    """Declare subcommand `name`: its help line and, per keyword k, --k's add_argument keywords."""
     def declare(handler):
         COMMANDS[name] = (summary, flags, handler)
         return handler
@@ -215,9 +224,14 @@ def cmd_faltings(args, tol):
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {args.input!r}: {exc}") from None
     try:
-        embeddings = tuple(TauPoint(float(e["re"]), float(e["im"])) for e in payload["embeddings"])
-        inp = CurveHeightInput(degree=payload["degree"], embeddings=embeddings,
-                               log_norm_min_disc=float(payload["log_norm_min_disc"]))
+        embeddings = tuple(
+            TauPoint(float(e["re"]), float(e["im"])) for e in payload["embeddings"]
+        )
+        inp = CurveHeightInput(
+            degree=payload["degree"],
+            log_norm_min_disc=float(payload["log_norm_min_disc"]),
+            embeddings=embeddings,
+        )
     except KeyError as exc:
         raise UsageError(f"faltings input missing field: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -278,12 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     tol = SeriesTolerance(rel_tol=args.tol)
     try:
         outcome = args.func(args, tol)
-    except UsageError as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
     if isinstance(outcome, int):  # verify printed its own report
         return outcome
     inputs, results, residuals = outcome
