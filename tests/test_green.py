@@ -354,6 +354,24 @@ def test_projection_check_equals_the_per_point_green_formula(rng):
         assert green_projection_check(iso, w, z) == _projection_by_green(iso, w, z)
 
 
+@pytest.mark.parametrize("w, z, kind", [
+    (TorusPoint(Fraction(15, 16), Fraction(5, 16)), TorusPoint(0.73, 0.3),
+     "underflows a normal double"),
+    (TorusPoint(Fraction(5, 8), Fraction(13, 16)), TorusPoint(0.61, 0.33), "overflows a double"),
+], ids=["underflow", "overflow"])
+def test_projection_check_raises_what_green_raises_on_the_target(w, z, kind):
+    # the target of tau -> 2 tau sits at reduced Im tau 2800, where G(0, f(z) - w)
+    # leaves the normal doubles while the source's fiber terms are still logs;
+    # (w, z) were found by a seeded search over w in X[16] and z on a 0.01 grid
+    iso = quotient(TauPoint(0.1, 1400.0), CyclicSubgroup(2, 1, 0))
+    with pytest.raises(ArithmeticError, match=f"G {kind}") as expected:
+        green(iso.target, iso.apply(z) - w)
+    with pytest.raises(ArithmeticError) as raised:
+        green_projection_check(iso, w, z)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_projection_rejects_exact_points_of_any_fiber():
     iso = quotient(TauPoint(0.73, 0.11), CyclicSubgroup(6, 1, 2))
     w = TorusPoint(Fraction(1, 3), Fraction(2, 7))
