@@ -109,33 +109,38 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     """Residual of the projection identity for a point divisor.
 
     Compares sum_{Q in f^{-1}(w)} log G_source(Q, z) against
-    log G_target(w, f(z)) and returns the absolute difference.  Raises if z
-    lies in the fiber of w (the left side would be log 0).  The fiber's
-    terms are formed as green(source, z - Q) forms them, from one reduction.
+    log G_target(w, f(z)) and returns the absolute difference; raises if z is
+    in the fiber of w (log 0), and as green() does on the target.  The fiber
+    is exact over one integer denominator, a float w too, each term formed as
+    green(source, z - Q) forms it; the target term as green() forms it.
     """
-    # Q = preimage(w) + (i, j)/n over the kernel pairs: integers over one
-    # denominator, divided as float(Fraction) rounds (exactly for an exact z)
-    n = iso.degree
-    q0 = iso.preimage(w)
-    qa, qb = Fraction(q0.a), Fraction(q0.b)
-    den = math.lcm(qa.denominator, qb.denominator, n)
-    qa, qb = qa.numerator * den // qa.denominator, qb.numerator * den // qb.denominator
+    # Q = adj(T).w/n + (i, j)/n over the kernel pairs, as integers over den;
+    # int / int rounds as float(Fraction) does, whatever the denominator
+    n, ((t11, t12), (t21, t22)) = iso.degree, iso.coordinate_matrix()
+    (wa, da), (wb, db) = w.a.as_integer_ratio(), w.b.as_integer_ratio()
+    d, den = da * db, n * da * db
+    qa, qb = t22 * wa * db - t12 * wb * da, t11 * wb * da - t21 * wa * db
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
     torus = _Torus(iso.source, tol)
     (ma, mb), (mc, md) = torus.mat
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
-        pa = _mod_one(z.a - div_a((qa + i * den // n) % den, den), "a")
-        pb = _mod_one(z.b - div_b((qb + j * den // n) % den, den), "b")
+        pa = _mod_one(z.a - div_a((qa + d * i) % den, den), "a")
+        pb = _mod_one(z.b - div_b((qb + d * j) % den, den), "b")
         a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
         if a == 0 and b == 0:
             raise ValueError("z lies in the fiber of w; log G(Q, z) diverges")
         logs.append(torus.log_green(float(a), float(b)))
-    lhs = math.fsum(logs)
-    g_target = green(iso.target, iso.apply(z) - w, tol)
-    if g_target.value == 0.0:
+    fa = _mod_one(_mod_one(t11 * z.a + t12 * z.b, "a") - w.a, "a")
+    fb = _mod_one(_mod_one(t21 * z.a + t22 * z.b, "b") - w.b, "b")
+    torus = _Torus(iso.target, tol)
+    (ma, mb), (mc, md) = torus.mat
+    a, b = _mod_one(ma * fa - mb * fb, "a"), _mod_one(md * fb - mc * fa, "b")
+    if a == 0 and b == 0:
         raise ValueError("f(z) coincides with w; log G diverges")
-    return abs(lhs - g_target.log_value)
+    log_target = torus.log_green(float(a), float(b))
+    _exp_log_green(log_target, torus)  # green()'s range check
+    return abs(math.fsum(logs) - log_target)
 
 
 def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:

@@ -35,7 +35,6 @@ from .lattice import (
     _Value,
     _exact_order_pairs,
     _set,
-    _subgroup_pairs,
     cyclic_subgroups,
     quotient,
     reduce_tau,
@@ -279,13 +278,17 @@ def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
     ]
 
 
-def _brute_force_subgroup_sets(n: int) -> set[frozenset]:
+def _multiples(n: int, u: int, v: int) -> frozenset[int]:  # k*(u, v) mod n, keyed a*n + b
+    return frozenset([(k * u) % n * n + (k * v) % n for k in range(n)])
+
+
+def _brute_force_subgroup_sets(n: int) -> set[frozenset[int]]:
     # a point of a subgroup already found generates it or a smaller set
     seen, covered = set(), set()
     for u in range(n):
         for v in range(n):
-            if (u, v) not in covered:
-                pts = frozenset(((k * u) % n, (k * v) % n) for k in range(n))
+            if u * n + v not in covered:
+                pts = _multiples(n, u, v)
                 if len(pts) == n:
                     seen.add(pts)
                     covered |= pts
@@ -298,9 +301,9 @@ def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]
         enumerated = subgroups[n]
         brute = _brute_force_subgroup_sets(n)
         stray = 0
-        holders = Counter()  # per order-n pair, the enumerated subgroups that hold it
+        holders = Counter()  # per order-n point key, the enumerated subgroups that hold it
         for sub in enumerated:  # one set at a time keeps the peak low; each removes its match
-            pts = frozenset(_subgroup_pairs(sub))
+            pts = _multiples(n, sub.u, sub.v)
             stray += pts not in brute
             brute.discard(pts)
             if n <= contain_max:
@@ -312,8 +315,8 @@ def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]
         for m in (m for m in range(1, n + 1) if n % m == 0):
             expected = cyclic_subgroup_count(n) // cyclic_subgroup_count(m)
             # both are the multiples of one generator: an order-n subgroup holds
-            # the order-m one iff it holds its generator, the pair (u*n/m, v*n/m)
-            contain_bad += sum(holders[small.u * (n // m), small.v * (n // m)] != expected
+            # the order-m one iff it holds its generator, the point (u*n/m, v*n/m)
+            contain_bad += sum(holders[small.u * (n // m) * n + small.v * (n // m)] != expected
                                for small in subgroups[m])
     return [
         CheckResult(12, f"cyclic subgroup enumeration vs brute force, N<={count_max}",

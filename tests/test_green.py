@@ -330,14 +330,16 @@ def test_projection_identity_randomized(rng):
 
 def _projection_by_green(iso, w, z):
     # the projection residual from N + 1 green() values, one per fiber point
-    # and one on the target
-    lhs = math.fsum(green(iso.source, z - q).log_value for q in iso.fiber(w))
+    # and one on the target; the fiber of a float w is that of the rational it stores
+    exact = TorusPoint(Fraction(w.a), Fraction(w.b))
+    lhs = math.fsum(green(iso.source, z - q).log_value for q in iso.fiber(exact))
     return abs(lhs - green(iso.target, iso.apply(z) - w).log_value)
 
 
 def test_projection_check_equals_the_per_point_green_formula(rng):
-    # 50 seeded instances, a third at an unreduced source and every fifth
-    # with an exact z: the one-reduction fiber sum rounds as green() does
+    # 50 seeded instances, a third at an unreduced source, every fourth with a
+    # float w and every fifth with an exact z: the one-reduction fiber sum
+    # rounds as green() does
     for k in range(50):
         tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.0))
         if k % 3 == 0:
@@ -347,6 +349,8 @@ def test_projection_check_equals_the_per_point_green_formula(rng):
         iso = quotient(tau, subs[rng.randrange(len(subs))])
         den = rng.choice([1, 2, 7, 12, 16])
         w = TorusPoint(Fraction(rng.randrange(den), den), Fraction(rng.randrange(den), den))
+        if k % 4 == 0:
+            w = TorusPoint(rng.random(), rng.random())
         if k % 5 == 0:
             z = TorusPoint(Fraction(rng.randrange(1, 97), 97), Fraction(rng.randrange(1, 97), 97))
         else:

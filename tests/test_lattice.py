@@ -256,8 +256,9 @@ def test_cyclic_subgroups_match_brute_force(n):
 
 @pytest.mark.parametrize("n", list(range(1, 21)))
 def test_verify_brute_force_skipping_found_subgroups_loses_none(n):
-    # criterion 12's brute force skips the points of subgroups it has found
-    every = {frozenset(((k * u) % n, (k * v) % n) for k in range(n))
+    # criterion 12's brute force skips the points of subgroups it has found;
+    # both key the point (a, b) as the int a*n + b
+    every = {frozenset((k * u) % n * n + (k * v) % n for k in range(n))
              for u in range(n) for v in range(n)}
     assert _brute_force_subgroup_sets(n) == {pts for pts in every if len(pts) == n}
 
