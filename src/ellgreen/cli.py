@@ -79,6 +79,8 @@ def parse_subgroup(text: str) -> tuple[int, int, int]:
 def _fmt(value) -> str:
     # repr of a float is the shortest digit string that round-trips, i.e.
     # full double precision; shared by the JSON and table renderers
+    if isinstance(value, complex):  # an echoed input, as a+bi: parse_complex reads it back
+        return f"{value.real!r}{value.imag:+}i"
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -141,7 +143,7 @@ def cmd_invariants(args, tol):
     red, _ = reduce_tau(tau)
     results = {"norm_eta": inv.norm_eta, "norm_delta": inv.norm_delta,
                "omega_norm": inv.omega_norm, **_re_im(tau_reduced=red.z)}
-    return ({"tau": str(args.tau)}, results,
+    return ({"tau": _fmt(args.tau)}, results,
             {"norm_delta_vs_eta24": abs(inv.norm_delta - inv.norm_eta ** 24) / inv.norm_delta})
 
 
@@ -152,7 +154,7 @@ def cmd_green(args, tol):
     b = args.z.imag / tau.im
     point = TorusPoint((args.z.real - b * tau.re) % 1.0, b % 1.0)
     value = green(tau, point, tol)
-    return ({"tau": str(args.tau), "z": str(args.z)},
+    return ({"tau": _fmt(args.tau), "z": _fmt(args.z)},
             {"value": value.value, "log_value": value.log_value,
              "a": float(point.a), "b": float(point.b)}, {})
 
@@ -160,7 +162,7 @@ def cmd_green(args, tol):
 @command("torsion-product", "product of G over nonzero N-torsion", tau=_COMPLEX, n=_INT)
 def cmd_torsion_product(args, tol):
     product = torsion_product(TauPoint.from_complex(args.tau), args.n, tol)
-    return ({"tau": str(args.tau), "n": args.n},
+    return ({"tau": _fmt(args.tau), "n": args.n},
             {"product": product, "expected": float(args.n)},
             {"relative": abs(product - args.n) / args.n})
 
@@ -173,7 +175,7 @@ def cmd_energy(args, tol):
     iso = quotient(TauPoint.from_complex(args.tau), CyclicSubgroup(n, u, v))
     product, predicted = energy(iso, tol)
     via_a = energy_via_a(iso, tol)
-    return ({"tau": str(args.tau), "subgroup": f"{u},{v},{n}"},
+    return ({"tau": _fmt(args.tau), "subgroup": f"{u},{v},{n}"},
             {"product": product, "predicted": predicted, "predicted_via_omega_norm": via_a,
              **_re_im(target=iso.target.z)},
             {"product_vs_predicted": abs(product - predicted) / predicted,
@@ -183,7 +185,7 @@ def cmd_energy(args, tol):
 @command("average", "averaged log-Green / height identities", tau=_COMPLEX, n=_INT)
 def cmd_average(args, tol):
     report = average_green_over_cyclic(TauPoint.from_complex(args.tau), args.n, tol)
-    return ({"tau": str(args.tau), "n": args.n},
+    return ({"tau": _fmt(args.tau), "n": args.n},
             {"subgroup_count": cyclic_subgroup_count(args.n),
              "green_average": report.green_average, "green_predicted": report.green_predicted,
              "delta_average": report.delta_average, "delta_predicted": report.delta_predicted},
@@ -196,7 +198,7 @@ def cmd_weierstrass(args, tol):
     curve = eisenstein(tau, tol)
     roots = half_period_roots(tau, tol)
     r13, r12, r23 = thomae_residuals(tau, tol)
-    return ({"tau": str(args.tau)},
+    return ({"tau": _fmt(args.tau)},
             _re_im(p=curve.p, q=curve.q, alpha1=roots.alpha1, alpha2=roots.alpha2,
                    alpha3=roots.alpha3),
             {"thomae_13": r13, "thomae_12": r12, "thomae_23": r23})
@@ -206,7 +208,7 @@ def cmd_weierstrass(args, tol):
 def cmd_periods(args, tol):
     periods = periods_from_curve(WeierstrassCurve(args.p, args.q), tol)
     red, _ = reduce_tau(periods.tau)
-    return ({"p": str(args.p), "q": str(args.q)},
+    return ({"p": _fmt(args.p), "q": _fmt(args.q)},
             _re_im(omega1=periods.omega1, omega2=periods.omega2, tau=periods.tau.z,
                    tau_reduced=red.z), {})
 

@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from ellgreen.cli import COMMANDS, main, parse_complex, parse_subgroup
+from ellgreen.cli import COMMANDS, _fmt, main, parse_complex, parse_subgroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the README's CLI block; None stands for the path of the faltings input file
@@ -49,6 +50,21 @@ def test_parse_complex_rejects_garbage():
     for bad in ("", "i", "1+2j", "one+2i", "1e999+0i", "0+1e999i"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex(bad)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.builds(complex, FINITE, FINITE))
+@example(complex(-0.0, -0.0))
+@example(complex(0.0, -0.0))
+@example(complex(5e-324, -2.2250738585072014e-308))
+@example(complex(1e300, -1e-300))
+@example(complex(-1.7976931348623157e308, 1e16))
+def test_echoed_complex_parses_back_bit_for_bit(z):
+    # the CLI echoes a complex input as a+bi; pasted back it is the same input
+    back = parse_complex(_fmt(z))
+    assert (back.real.hex(), back.imag.hex()) == (z.real.hex(), z.imag.hex())
 
 
 def test_parse_subgroup():
