@@ -10,6 +10,7 @@ sum of log G here is evaluated on one `modular._Torus` record per torus.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import truediv
 
@@ -33,17 +34,19 @@ from .modular import (
     _exp_normal,
     _omega_norm,
     _phase_row,
+    _series,
     _weight_row,
 )
 
 _TWO_PI = 2.0 * math.pi
+_LOG_MAX = math.log(sys.float_info.max)  # exp of anything above overflows a double
 
 
 class GreenValue(_Value):
     """A Green-function value together with its logarithm (nats).
 
     value == exp(log_value); the exact zero on the diagonal is reported as
-    value = 0.0 with log_value = -inf.
+    value = 0.0 with log_value = -inf.  ValueError for any other non-finite field.
     """
 
     __slots__ = __match_args__ = ("value", "log_value")
@@ -52,7 +55,9 @@ class GreenValue(_Value):
         if value == 0.0:
             if log_value != -math.inf:
                 raise ValueError("a zero value must carry log_value = -inf")
-        elif abs(value - math.exp(log_value)) > 1e-12 * value:
+        elif not (math.isfinite(value) and math.isfinite(log_value)):
+            raise ValueError(f"value and log_value must be finite, got {value!r}, {log_value!r}")
+        elif log_value > _LOG_MAX or abs(value - math.exp(log_value)) > 1e-12 * value:
             raise ValueError("value and log_value disagree")
         _set(self, "value", value)
         _set(self, "log_value", log_value)
@@ -240,10 +245,10 @@ def _midpoint_log_green_mean(tau: TauPoint, grid: int,
     # The direct sum behind green_mean_integral's closed form.  G(-P) = G(P)
     # pairs (i, j) with (M-1-i, M-1-j): rows j < M/2 count twice, an odd M's middle once.
     torus = _Torus(tau, tol)
-    red = torus.red
     shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
-    rows = [_weight_row(d, red, tol) for d in shifted[:(grid + 1) // 2]]
-    phases = [_phase_row(c, red, tol) for c in shifted]
+    series = _series(torus.red, tol)
+    rows = [_weight_row(d, series) for d in shifted[:(grid + 1) // 2]]
+    phases = [_phase_row(c, series) for c in shifted]
     log_sums = _kernels.log_abs_theta_shifted_grid(rows, phases)
     counts = [1 if 2 * j + 1 == grid else 2 for j in range(len(rows))]
     total = math.fsum(n * x for n, logs in zip(counts, log_sums) for x in logs)

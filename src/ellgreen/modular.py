@@ -5,11 +5,11 @@ All q-series are truncated adaptively against a relative tolerance.  Every
 theta value comes from one shifted sum with its dominant term taken out as a
 log, so its terms are bounded by 1 and it neither overflows nor underflows
 whatever the point or Im tau.  It has two forms that give the same bits: a
-one-point loop (`_shifted_sum`) for theta, theta', ||theta|| and single
-values of log G, and a weight row times a phase row (`log_abs_theta_shifted`)
-for the +-P tables and the midpoint grid, where many points share rows.
-`_Torus`, one reduced torus, is the record every value and sum of log G is
-evaluated on.
+one-point loop (`_shifted_sum`) for theta, theta', ||theta||, single values
+of log G and sums over one cyclic group, and a weight row times a phase row
+(`log_abs_theta_shifted`) for larger sums and the midpoint grid, where many
+points share rows; each request forms its series constants once.  `_Torus`,
+one reduced torus, is the record every value and sum of log G is evaluated on.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class SeriesTolerance(_Value):
     def __init__(self, rel_tol: float = 1e-12, max_terms: int = 256):
         if not (0.0 < rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-        if max_terms < 8:
-            raise ValueError(f"max_terms must be >= 8, got {max_terms}")
+        if not isinstance(max_terms, int) or max_terms < 8:
+            raise ValueError(f"max_terms must be an int >= 8, got {max_terms!r}")
         _set(self, "rel_tol", rel_tol)
         _set(self, "max_terms", max_terms)
 
@@ -140,6 +140,7 @@ def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 
 _SUM_FLOOR = 4.0 * sys.float_info.epsilon  # a few rounding errors of order-1 terms
 _WeightRow = tuple[int, float, list[complex]]  # (n0, -pi*Im(tau)*m0^2, weights)
+_Series = tuple[int, complex, complex, float]  # (K, pi*i*tau, q, -pi*Im(tau)) from _series
 
 
 @lru_cache(maxsize=256)
@@ -149,22 +150,22 @@ def gaussian_half_width(tau_im: float, rel_tol: float) -> int:
     return math.ceil(math.sqrt(max(math.log(1.0 / rel_tol), 1.0) / (_PI * tau_im))) + 1
 
 
-def _window(tau: TauPoint, tol: SeriesTolerance) -> int:
-    # K, checked against max_terms: every weight row and one-point sum passes here
+def _series(tau: TauPoint, tol: SeriesTolerance) -> _Series:
+    # (K checked against max_terms, t = pi*i*tau, q = e^(2t), -pi*Im tau): the
+    # constants every weight row, phase row and one-point sum of tau shares
     half = gaussian_half_width(tau.im, tol.rel_tol)
     if 2 * half + 2 > tol.max_terms:
         raise SeriesConvergenceError(f"shifted theta sum needs {2 * half + 2} terms > max_terms="
                                      f"{tol.max_terms} (Im tau = {tau.im}; reduce tau first)")
-    return half
+    t = 1j * _PI * tau.z
+    return half, t, cmath.exp(2.0 * t), -_PI * tau.im
 
 
-def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
+def _weight_row(d: float, series: _Series) -> _WeightRow:
     # the weight row of d
-    half = _window(tau, tol)
+    half, t, q, gauss = series
     n0 = round(-d)
     m0 = n0 + d
-    t = 1j * _PI * tau.z
-    q = cmath.exp(2.0 * t)
     high, low = cmath.exp(t * (1.0 + 2.0 * m0)), cmath.exp(t * (1.0 - 2.0 * m0))
     highs, lows = [high], [low]
     for _ in range(half - 1):  # factors of modulus <= 1 never overflow
@@ -172,14 +173,14 @@ def _weight_row(d: float, tau: TauPoint, tol: SeriesTolerance) -> _WeightRow:
         low *= q
         highs.append(highs[-1] * high)
         lows.append(lows[-1] * low)
-    return n0, -_PI * tau.im * m0 ** 2, highs + lows
+    return n0, gauss * m0 ** 2, highs + lows
 
 
-def _phase_row(c: float, tau: TauPoint, tol: SeriesTolerance) -> list[complex]:
+def _phase_row(c: float, series: _Series) -> list[complex]:
     # [e, ..., e^K, e^-1, ..., e^-K] for e = exp(2*pi*i*c), c real
     e = cmath.exp(2j * _PI * c)
     powers = [e]
-    for _ in range(gaussian_half_width(tau.im, tol.rel_tol) - 1):
+    for _ in range(series[0] - 1):
         powers.append(powers[-1] * e)
     return powers + [p.conjugate() for p in powers]
 
@@ -190,18 +191,16 @@ def _scaled_sum(weights: list[complex], phases: list[complex]) -> complex:
     return 1.0 + sum(map(mul, weights, phases))
 
 
-def _shifted_sum(c: float, d: float, tau: TauPoint, tol: SeriesTolerance,
+def _shifted_sum(c: float, d: float, series: _Series,
                  deriv: bool = False) -> tuple[int, float, complex]:
     # (n0, lead, scaled sum) of one point in one pass, bit for bit what
     # _weight_row(d) and _scaled_sum(weights, _phase_row(c)) give: the same
     # running products, added in the same order (k = 1..K, then -1..-K, as
     # CPython 3.11's sum adds complex numbers).  For theta' each term is
     # times n0 + k and the centre is n0.
-    half = _window(tau, tol)
+    half, t, q, gauss = series
     n0 = round(-d)
     m0 = n0 + d
-    t = 1j * _PI * tau.z
-    q = cmath.exp(2.0 * t)
     e = cmath.exp(2j * _PI * c)
     total = 0j
     for w, phase, sign in ((cmath.exp(t * (1.0 + 2.0 * m0)), e, 1),
@@ -213,7 +212,7 @@ def _shifted_sum(c: float, d: float, tau: TauPoint, tol: SeriesTolerance,
             w *= step
             p *= phase
             total += ((n0 + sign * k) * w) * p if deriv else w * p
-    return n0, -_PI * tau.im * m0 ** 2, (n0 if deriv else 1.0) + total
+    return n0, gauss * m0 ** 2, (n0 if deriv else 1.0) + total
 
 
 def _near_zero(size: float) -> ArithmeticError:
@@ -225,13 +224,13 @@ def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
     the weight row of d (`_weight_row`) and the phase row of c (`_phase_row`).
 
-    This row form serves the +-P tables of `_Torus.log_green_sums`, where
-    many points share rows; one point on its own goes through `_shifted_sum`,
-    which gives the same bits.  The dominant term's modulus
-    exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under- or overflows at
-    any Im tau.  Raises ArithmeticError where the scaled sum is within a few
-    rounding errors of 0 (c + d*tau within about 1e-16 of a zero of theta):
-    no digit of the log survives there.
+    This row form serves `_Torus.log_green_sums` requests of more than n pairs,
+    where many points share rows; one point, or one cyclic group of n pairs,
+    goes through `_shifted_sum`, which gives the same bits.  The dominant
+    term's modulus exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under-
+    or overflows at any Im tau.  Raises ArithmeticError where the scaled sum
+    is within a few rounding errors of 0 (c + d*tau within about 1e-16 of a
+    zero of theta): no digit of the log survives there.
     """
     _, lead, weights = row
     size = abs(_scaled_sum(weights, phases))
@@ -240,9 +239,9 @@ def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     return math.log(size) + lead
 
 
-def _log_abs_shifted(c: float, d: float, tau: TauPoint, tol: SeriesTolerance) -> float:
+def _log_abs_shifted(c: float, d: float, series: _Series) -> float:
     # log_abs_theta_shifted of one point, from _shifted_sum
-    _, lead, total = _shifted_sum(c, d, tau, tol)
+    _, lead, total = _shifted_sum(c, d, series)
     size = abs(total)
     if size < _SUM_FLOOR:
         raise _near_zero(size)
@@ -257,7 +256,7 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
         raise ValueError(f"theta needs a finite z, got {z!r}")
     d = z.imag / tau.im
     c = (z.real - d * tau.re) % 1.0
-    n0, _, total = _shifted_sum(c, d, tau, tol, deriv)
+    n0, _, total = _shifted_sum(c, d, _series(tau, tol), deriv)
     if deriv:
         total = 2j * _PI * total
     lead = 1j * _PI * (tau.z * (n0 * (n0 + 2.0 * d)) + 2.0 * n0 * c)
@@ -295,7 +294,7 @@ def log_norm_theta(point: TorusPoint, tau: TauPoint,
     """log ||theta||(a + b*tau; tau).  Raises ArithmeticError within about
     1e-16 of a zero of theta, as log_abs_theta_shifted."""
     return 0.25 * math.log(tau.im) + _log_abs_shifted(float(point.a), float(point.b) % 1.0,
-                                                      tau, tol)
+                                                      _series(tau, tol))
 
 
 def norm_theta(point: TorusPoint, tau: TauPoint,
@@ -304,7 +303,7 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
     at z = a + b*tau, an invariant of the point class.  Formed without a log:
     accurate to about 1e-16 absolute near a zero of theta, where log_norm_theta
     raises.  Raises ArithmeticError where its dominant term is not a normal double."""
-    _, lead, total = _shifted_sum(float(point.a), float(point.b) % 1.0, tau, tol)
+    _, lead, total = _shifted_sum(float(point.a), float(point.b) % 1.0, _series(tau, tol))
     scale = _exp_normal(0.25 * math.log(tau.im) + lead, "||theta||", "log of its dominant term")
     return scale * abs(total)
 
@@ -328,7 +327,7 @@ class _Torus:
 
     def log_green(self, a: float, b: float) -> float:
         # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
-        return (_log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, self.red, self.tol)
+        return (_log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, _series(self.red, self.tol))
                 - self.log_eta)
 
     def log_green_sums(self, n: int, pair_lists: list[list[tuple[int, int]]]) -> list[float]:
@@ -338,11 +337,13 @@ class _Torus:
         # rounds as float(Fraction(a, n))), and filed under P and -P, so a sum
         # depends neither on the other lists nor on earlier calls.  Keys are the
         # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
+        # One cyclic group (at most n pairs) would use most rows once: one loop per class.
         red, tol, log_eta, tables = self.red, self.tol, self.log_eta, self.tables
         (ma, mb), (mc, md) = self.mat
         if n not in tables:
             tables[n] = {}, {}, {0: 0.0}
         weights, phases, table = tables[n]
+        one_point, series = sum(map(len, pair_lists)) <= n, None
         sums = []
         for pairs in pair_lists:
             logs = []
@@ -351,12 +352,17 @@ class _Torus:
                 key = a * n + b
                 if key not in table:
                     a, b = min((a, b), (-a % n, -b % n))
-                    if b not in weights:
-                        weights[b] = _weight_row((b / n + 0.5) % 1.0, red, tol)
-                    if a not in phases:
-                        phases[a] = _phase_row((a / n + 0.5) % 1.0, red, tol)
-                    table[a * n + b] = table[(-a % n) * n + (-b % n)] = (
-                        log_abs_theta_shifted(weights[b], phases[a]) - log_eta)
+                    if series is None:
+                        series = _series(red, tol)
+                    if one_point:
+                        log = _log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0, series)
+                    else:
+                        if b not in weights:
+                            weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
+                        if a not in phases:
+                            phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
+                        log = log_abs_theta_shifted(weights[b], phases[a])
+                    table[a * n + b] = table[(-a % n) * n + (-b % n)] = log - log_eta
                 logs.append(table[key])
             sums.append(math.fsum(logs))
         if len(table) == n * n:  # every class is in: no later call needs a row

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .errors import SeriesConvergenceError
 from .lattice import TauPoint, _Value, _set, reduce_tau
-from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_shifted, delta, theta
+from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_shifted, _series, delta, theta
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -287,8 +287,9 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     # log |alpha_i - alpha_j| less log pi^2 (which cancels) is 4 log|theta
     # constant|, straight from the shifted sums S(1/2, 0), S(0, 0) and
     # S(0, 1/2) (subtracting stored roots would lose the small distance)
+    series = _series(tau, tol)
     log_dist = {
-        pair: 4.0 * _log_abs_shifted(c, d, tau, tol)
+        pair: 4.0 * _log_abs_shifted(c, d, series)
         for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
     out, torus = [], _Torus(tau, tol)

@@ -30,8 +30,8 @@ from ellgreen.lattice import (
     quotient,
     transport_point,
 )
-from ellgreen.modular import (DEFAULT_TOL, _Torus, _log_abs_eta, _phase_row, _weight_row,
-                              log_abs_theta_shifted, log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, _Torus, _log_abs_eta, _phase_row, _series,
+                              _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -103,8 +103,9 @@ def test_green_reduction_matches_unreduced_evaluation():
     p = TorusPoint(0.25, 0.6)
     # log G(0, a + b*tau) = log|S(a + 1/2, b + 1/2)| - log|eta|: the (Im tau)^(1/4)
     # factors of ||theta|| and ||eta|| cancel
-    raw = (log_abs_theta_shifted(_weight_row((0.6 + 0.5) % 1.0, tau, DEFAULT_TOL),
-                                 _phase_row((0.25 + 0.5) % 1.0, tau, DEFAULT_TOL))
+    series = _series(tau, DEFAULT_TOL)
+    raw = (log_abs_theta_shifted(_weight_row((0.6 + 0.5) % 1.0, series),
+                                 _phase_row((0.25 + 0.5) % 1.0, series))
            - _log_abs_eta(tau, DEFAULT_TOL))
     assert abs(raw - green(tau, p).log_value) < 1e-9
 
@@ -463,6 +464,24 @@ def test_green_value_validated():
         GreenValue(0.0, 0.0)  # zero must carry the -inf sentinel
     with pytest.raises(ValueError):
         GreenValue(1.0, 5.0)  # log_value disagrees
+
+
+@pytest.mark.parametrize("value,log_value,message", [
+    (math.nan, 0.0, "must be finite"),
+    (1.0, math.nan, "must be finite"),
+    (math.inf, math.inf, "must be finite"),
+    (1.0, 800.0, "disagree"),  # exp(800) is no double: no raw OverflowError
+])
+def test_green_value_rejects_non_finite_and_overflowing_fields(value, log_value, message):
+    with pytest.raises(ValueError, match=message):
+        GreenValue(value, log_value)
+
+
+def test_green_value_keeps_the_range_edges():
+    # the diagonal sentinel, and a value at the top of the doubles
+    assert GreenValue(0.0, -math.inf).log_value == -math.inf
+    top = math.log(sys.float_info.max)
+    assert GreenValue(math.exp(top), top).log_value == top
 
 
 def test_green_against_mpmath(rng):

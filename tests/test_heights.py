@@ -43,8 +43,8 @@ from ellgreen.lattice import (
     reduce_tau,
     subgroup_points,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, invariants,
-                              log_abs_theta_shifted, log_norm_delta, log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _shifted_sum,
+                              invariants, log_abs_theta_shifted, log_norm_delta, log_norm_eta)
 from ellgreen.weierstrass import two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
@@ -349,18 +349,31 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
     # G(-P) = G(P): a kernel sum evaluates (points + 2-torsion points) / 2
     # shifted theta sums, and average_green_over_cyclic shares them across
-    # its subgroups
-    counts = count_calls(log_abs_theta_shifted)
+    # its subgroups.  Counts are (row form, one-point loop): one cyclic group
+    # (an energy's kernel) builds no rows
+    counts = count_calls(log_abs_theta_shifted, _shifted_sum)
 
     def count(run):
         counts.clear()
         run()
-        return counts["log_abs_theta_shifted"]
+        return counts["log_abs_theta_shifted"], counts["_shifted_sum"]
 
     # (575 nonzero points of order dividing 24 + the 3 of order 2) / 2
-    assert count(lambda: average_green_over_cyclic(TAU, 24)) == 289
-    assert count(lambda: torsion_product(TAU, 30)) == 451  # (899 + 3) / 2
-    assert count(lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0)))) == 6  # (11 + 1) / 2
+    assert count(lambda: average_green_over_cyclic(TAU, 24)) == (289, 0)
+    assert count(lambda: torsion_product(TAU, 30)) == (451, 0)  # (899 + 3) / 2
+    assert count(lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0)))) == (0, 6)  # (11 + 1) / 2
+
+
+@pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
+def test_one_group_sums_equal_the_sums_from_rows(tau):
+    # a kernel sum on a fresh record goes point by point; after a torsion
+    # request has filled the n-table from rows it is read from the table
+    for n in range(1, 13):
+        for sub in cyclic_subgroups(n):
+            pairs = [_kernel_pairs(quotient(tau, sub).coordinate_matrix(), n)]
+            fresh, filled = _Torus(tau, DEFAULT_TOL), _Torus(tau, DEFAULT_TOL)
+            filled.log_green_sums(n, [_torsion_pairs(n)])
+            assert fresh.log_green_sums(n, pairs) == filled.log_green_sums(n, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from ellgreen.modular import (
     DEFAULT_TOL,
     SeriesTolerance,
     _phase_row,
+    _series,
     _weight_row,
     log_abs_theta_shifted,
 )
@@ -13,9 +14,9 @@ from ellgreen.modular import (
 
 def _grid(tau, n, seed, tol=DEFAULT_TOL):
     # the reference mean's combine: one weight row per d, one phase row per c
-    rng = random.Random(seed)
-    phases = [_phase_row(rng.random(), tau, tol) for _ in range(n)]
-    rows = [_weight_row(rng.random(), tau, tol) for _ in range(n)]
+    rng, series = random.Random(seed), _series(tau, tol)
+    phases = [_phase_row(rng.random(), series) for _ in range(n)]
+    rows = [_weight_row(rng.random(), series) for _ in range(n)]
     return rows, phases, _kernels.log_abs_theta_shifted_grid(rows, phases)
 
 

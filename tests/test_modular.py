@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellgreen.errors import SeriesConvergenceError
-from ellgreen.green import a_invariant_adjunction_check, green, green_mean_integral
-from ellgreen.lattice import TauPoint, TorusPoint
+from ellgreen.green import a_invariant_adjunction_check, energy, green, green_mean_integral
+from ellgreen.lattice import CyclicSubgroup, TauPoint, TorusPoint, quotient
 from ellgreen.modular import (
     DEFAULT_TOL,
     SeriesTolerance,
     _phase_row,
     _scaled_sum,
+    _series,
     _shifted_sum,
     _weight_row,
     log_abs_theta_shifted,
@@ -43,6 +44,13 @@ def test_series_tolerance_validation():
         SeriesTolerance(rel_tol=2.0)
     with pytest.raises(ValueError):
         SeriesTolerance(max_terms=4)
+
+
+@pytest.mark.parametrize("max_terms", [40.5, 64.0, "64"])
+def test_series_tolerance_rejects_a_max_terms_that_is_no_int(max_terms):
+    # range() would raise a raw TypeError in every series instead
+    with pytest.raises(ValueError, match="max_terms must be an int"):
+        SeriesTolerance(1e-12, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +342,16 @@ def test_surface_invariants_validated():
 # one point, one loop: the same bits as the row form
 # ---------------------------------------------------------------------------
 
+def one_point(c, d, tau, tol, deriv):
+    return _shifted_sum(c, d, _series(tau, tol), deriv)
+
+
 def row_form(c, d, tau, tol, deriv):
     # (n0, lead, scaled sum) from a weight row and a phase row; for theta'
     # each term is weighted by n0 + k and the centre is n0
-    n0, lead, weights = _weight_row(d, tau, tol)
-    phases = _phase_row(c, tau, tol)
+    series = _series(tau, tol)
+    n0, lead, weights = _weight_row(d, series)
+    phases = _phase_row(c, series)
     if not deriv:
         return n0, lead, _scaled_sum(weights, phases)
     half = len(weights) // 2
@@ -361,21 +374,22 @@ def outcome(form, *args):
 def test_one_point_sum_is_the_row_form_bit_for_bit(re_tau, im_tau, c, d, tol, deriv):
     # == on n0, the lead and the scaled sum, or the same window error
     tau = TauPoint(re_tau, im_tau)
-    assert outcome(_shifted_sum, c, d, tau, tol, deriv) == outcome(row_form, c, d, tau, tol, deriv)
+    assert outcome(one_point, c, d, tau, tol, deriv) == outcome(row_form, c, d, tau, tol, deriv)
 
 
 def test_one_point_sum_raises_the_row_form_errors():
     # theta's window at Im tau = 1e-4 needs 598 terms
     tau = TauPoint(0.1, 1e-4)
     with pytest.raises(SeriesConvergenceError) as rows:
-        _weight_row(0.0, tau, DEFAULT_TOL)
+        _series(tau, DEFAULT_TOL)
     assert "needs 598 terms" in str(rows.value)
     with pytest.raises(SeriesConvergenceError, match=f"^{re.escape(str(rows.value))}$"):
         theta(0.1, tau)
     # (1/2, 1/2) is the zero of theta
     tau = TauPoint(0.1, 1.3)
+    series = _series(tau, DEFAULT_TOL)
     with pytest.raises(ArithmeticError) as rows:
-        log_abs_theta_shifted(_weight_row(0.5, tau, DEFAULT_TOL), _phase_row(0.5, tau, DEFAULT_TOL))
+        log_abs_theta_shifted(_weight_row(0.5, series), _phase_row(0.5, series))
     with pytest.raises(ArithmeticError, match=f"^{re.escape(str(rows.value))}$"):
         log_norm_theta(TorusPoint(0.5, 0.5), tau)
 
@@ -388,6 +402,9 @@ ONE_POINT_CALLS = {
     "theta_dz": lambda: theta_dz(0.3 + 0.1j, TAU),
     "norm_theta": lambda: norm_theta(TorusPoint(0.3, 0.2), TAU),
     "log_norm_theta": lambda: log_norm_theta(TorusPoint(0.3, 0.2), TAU),
+    # one cyclic group: an isogeny's kernel, and the n = 2 table's single pairs
+    "energy": lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0))),
+    "two_torsion_green_check": lambda: two_torsion_green_check(TAU),
 }
 
 
@@ -396,11 +413,3 @@ def test_one_point_calls_build_no_rows(name, count_calls):
     counts = count_calls(_weight_row, _phase_row)
     ONE_POINT_CALLS[name]()
     assert (counts["_weight_row"], counts["_phase_row"]) == (0, 0)
-
-
-def test_two_torsion_check_builds_rows_for_its_table_only(count_calls):
-    # the n = 2 table's two weight and two phase rows; the three theta
-    # constants behind the root distances are one-point sums
-    counts = count_calls(_weight_row, _phase_row)
-    two_torsion_green_check(TAU)
-    assert (counts["_weight_row"], counts["_phase_row"]) == (2, 2)
