@@ -85,8 +85,9 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
 
     tau is reduced to the fundamental domain and the point's lattice
     coordinates are transported through the same change of marking, so the
-    result is an invariant of (torus, point class).  Exactly zero iff the
-    reduced point is (0, 0).  log G is right at any reduced Im tau.
+    result is an invariant of (torus, point class); an exact point moves in
+    integers and builds no Fraction.  Exactly zero iff the reduced point is
+    (0, 0).  log G is right at any reduced Im tau.
 
     Raises ArithmeticError, naming log G and the reduced Im tau, where G is
     not a normal double: log G below ~-708.40 (from a reduced Im tau of
@@ -96,10 +97,18 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     it raises ArithmeticError instead of returning noise.
     """
     torus = _Torus(tau, tol)
-    moved = transport_point(z, torus.mat)
-    if moved.is_zero:
+    if z.a.__class__ is Fraction and z.b.__class__ is Fraction:
+        # transport_point's map over den = qa*qb; int / int rounds as float(Fraction)
+        (pa, qa), (pb, qb) = z.a.as_integer_ratio(), z.b.as_integer_ratio()
+        (ma, mb), (mc, md) = torus.mat
+        den = qa * qb
+        a, b = (ma * pa * qb - mb * pb * qa) % den, (md * pb * qa - mc * pa * qb) % den
+    else:
+        moved, den = transport_point(z, torus.mat), 1.0  # Fraction / 1.0 is float(Fraction)
+        a, b = moved.a, moved.b
+    if a == 0 and b == 0:
         return GreenValue(0.0, -math.inf)
-    log_value = torus.log_green(float(moved.a), float(moved.b))
+    log_value = torus.log_green(a / den, b / den)
     return GreenValue(_exp_log_green(log_value, torus), log_value)
 
 
@@ -235,8 +244,8 @@ def green_mean_integral(tau: TauPoint, grid: int,
     (1+tau)/2, so the projection formula sums log G over them to
     log G(0, (1+tau)/2) (at (1/2, 1/2) in reduced coordinates).
     """
-    if grid < 16:
-        raise ValueError(f"grid must be >= 16, got {grid}")
+    if grid.__class__ is not int or grid < 16:  # a bool is no int here
+        raise ValueError(f"grid must be an int >= 16, got {grid!r}")
     return _Torus(tau, tol).log_green(0.5, 0.5) / (grid * grid)
 
 

@@ -16,6 +16,7 @@ from .lattice import (
     CyclicSubgroup,
     TauPoint,
     _Value,
+    _check_order,
     _exact_order_pairs,
     _quotient_target,
     _set,
@@ -45,8 +46,7 @@ def _prime_factorization(n: int) -> list[tuple[int, int]]:
 
 def cyclic_subgroup_count(n: int) -> int:
     """Number of cyclic order-n subgroups of (Z/n)^2: n * prod_{p|n} (1 + 1/p)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_order(n)
     count = n
     for p, _ in _prime_factorization(n):
         count = count // p * (p + 1)
@@ -59,8 +59,7 @@ def cyclic_log_green_constant(n: int) -> float:
 
     Coefficients stay exact rationals until the final multiply by log p.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_order(n)
     return math.fsum(float(Fraction(p ** r - 1, p ** (r - 1) * (p * p - 1))) * math.log(p)
                      for p, r in _prime_factorization(n))
 
@@ -68,8 +67,7 @@ def cyclic_log_green_constant(n: int) -> float:
 def exact_order_log_green_expected(m: int) -> float:
     """Closed form of the log-Green sum over exact-order-m points:
     log p when m is a power of the prime p, else 0 (0 for m = 1)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_order(m, "m")
     factors = _prime_factorization(m)
     return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 

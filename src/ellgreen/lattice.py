@@ -133,6 +133,11 @@ def _mod_one(x: Coord, name: str) -> Coord:
     return 0.0 if x == 1.0 else x
 
 
+def _check_order(n: int, name: str = "n", least: int = 1) -> None:
+    if n.__class__ is not int or n < least:  # a bool is no int here
+        raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
+
+
 def mobius(mat: IntMatrix, z: complex) -> complex:
     (ma, mb), (mc, md) = mat
     return (ma * z + mb) / (mc * z + md)
@@ -222,8 +227,7 @@ class CyclicSubgroup(_Value):
     __slots__ = __match_args__ = ("order", "u", "v")
 
     def __init__(self, order: int, u: int, v: int):
-        if order < 1:
-            raise ValueError(f"subgroup order must be >= 1, got {order}")
+        _check_order(order, "subgroup order")
         if gcd(gcd(u % order, v % order), order) != 1:
             raise ValueError(f"generator ({u}, {v}) does not have exact order {order}")
         _set(self, "order", order)
@@ -245,8 +249,7 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
     There are exactly n * prod_{p | n} (1 + 1/p) of them; the list is sorted
     by canonical generator, so enumeration order is deterministic.
     """
-    if n < 1:
-        raise ValueError(f"subgroup order must be >= 1, got {n}")
+    _check_order(n, "subgroup order")
     # one point (r : h) of P^1(Z/n) per divisor h and residue r mod n/h
     # prime to gcd(h, n/h), lifted to its normal form (r is not always prime to h)
     subs = [CyclicSubgroup(n, *_normal_form(n, r, h)) for h in range(1, n + 1) if n % h == 0
@@ -267,14 +270,12 @@ def _subgroup_pairs(sub: CyclicSubgroup) -> list[tuple[int, int]]:
 
 
 def _exact_order_pairs(m: int) -> list[tuple[int, int]]:
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+    _check_order(m, "order")
     return [(a, b) for a in range(m) for b in range(m) if gcd(gcd(a, b), m) == 1]
 
 
 def _torsion_pairs(n: int) -> list[tuple[int, int]]:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_order(n)
     return [(a, b) for a in range(n) for b in range(n)]
 
 
@@ -316,7 +317,7 @@ class Isogeny(_Value):
     `scale` carries source lattice coordinates into the normalised target
     torus C/(Z + target*Z); in particular scale*(a + b*source) lands on the
     target lattice exactly when (a, b) is a kernel point.  Raises ValueError
-    when degree < 1 or when scale does not give coordinate_matrix().
+    when degree is not an int >= 1 or when scale does not give coordinate_matrix().
     """
 
     __match_args__ = ("source", "target", "degree", "scale")
@@ -330,8 +331,7 @@ class Isogeny(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        _check_order(self.degree, "degree")
         tz = self.target
         cols = []
         for basis in (1.0 + 0.0j, self.source.z):
@@ -383,8 +383,7 @@ def _nearest_int(x: float, tol: float = 1e-6) -> int:
 
 def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
     """Multiplication by n as a degree-n^2 isogeny of the torus to itself."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_order(n)
     return Isogeny(source=tau, target=tau, degree=n * n, scale=complex(n))
 
 

@@ -310,16 +310,18 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
 
 class _Torus:
     """The torus marked by tau, reduced once: the reduced tau `red`, the
-    matrix `mat` with red = mat.tau, log|eta(red)| and, per n, the weight
-    rows, phase rows and +-P table of log G that `log_green_sums` fills."""
+    matrix `mat` with red = mat.tau, log|eta(red)|, its `series` constants
+    and, per n, the weight rows, phase rows and +-P table of log G that
+    `log_green_sums` fills."""
 
-    __slots__ = ("tau", "tol", "red", "mat", "log_eta", "tables")
+    __slots__ = ("tau", "tol", "red", "mat", "log_eta", "tables", "series")
 
     def __init__(self, tau: TauPoint, tol: SeriesTolerance):
         self.tau, self.tol = tau, tol
         self.red, self.mat = reduce_tau(tau)
         self.log_eta = _log_abs_eta(self.red, tol)
         self.tables: dict[int, tuple[dict, dict, dict]] = {}
+        self.series: _Series | None = None  # _series(red, tol), at the first log G that needs it
 
     @property
     def log_norm_eta(self) -> float:
@@ -327,8 +329,8 @@ class _Torus:
 
     def log_green(self, a: float, b: float) -> float:
         # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
-        return (_log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, _series(self.red, self.tol))
-                - self.log_eta)
+        series = self.series = self.series or _series(self.red, self.tol)
+        return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self.log_eta
 
     def log_green_sums(self, n: int, pair_lists: list[list[tuple[int, int]]]) -> list[float]:
         # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n
@@ -338,12 +340,12 @@ class _Torus:
         # depends neither on the other lists nor on earlier calls.  Keys are the
         # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
         # One cyclic group (at most n pairs) would use most rows once: one loop per class.
-        red, tol, log_eta, tables = self.red, self.tol, self.log_eta, self.tables
+        log_eta, tables = self.log_eta, self.tables
         (ma, mb), (mc, md) = self.mat
         if n not in tables:
             tables[n] = {}, {}, {0: 0.0}
         weights, phases, table = tables[n]
-        one_point, series = sum(map(len, pair_lists)) <= n, None
+        one_point, series = sum(map(len, pair_lists)) <= n, self.series
         sums = []
         for pairs in pair_lists:
             logs = []
@@ -352,8 +354,7 @@ class _Torus:
                 key = a * n + b
                 if key not in table:
                     a, b = min((a, b), (-a % n, -b % n))
-                    if series is None:
-                        series = _series(red, tol)
+                    series = self.series = series or _series(self.red, self.tol)
                     if one_point:
                         log = _log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0, series)
                     else:

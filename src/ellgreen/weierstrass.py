@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import SeriesConvergenceError
@@ -105,6 +106,7 @@ class RootTriple(_Value):
         return (self.alpha1, self.alpha2, self.alpha3)
 
 
+@lru_cache(maxsize=2048)
 def _sigma_power(n: int, k: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 

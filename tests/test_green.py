@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ellgreen.errors import SeriesConvergenceError
 from ellgreen.green import (
     GreenValue,
     _energies,
+    _exp_log_green,
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
     energy,
@@ -30,8 +32,8 @@ from ellgreen.lattice import (
     quotient,
     transport_point,
 )
-from ellgreen.modular import (DEFAULT_TOL, _Torus, _log_abs_eta, _phase_row, _series,
-                              _weight_row, log_abs_theta_shifted, log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _phase_row,
+                              _series, _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -108,6 +110,86 @@ def test_green_reduction_matches_unreduced_evaluation():
                                  _phase_row((0.25 + 0.5) % 1.0, series))
            - _log_abs_eta(tau, DEFAULT_TOL))
     assert abs(raw - green(tau, p).log_value) < 1e-9
+
+
+def _outcome(fn):
+    # (value, log_value) of a GreenValue, or the type and message of the error
+    try:
+        result = fn()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return result.value, result.log_value
+
+
+def _green_by_transport(tau, z):
+    # green() through transport_point, as for a float point
+    torus = _Torus(tau, DEFAULT_TOL)
+    moved = transport_point(z, torus.mat)
+    if moved.is_zero:
+        return GreenValue(0.0, -math.inf)
+    log_value = torus.log_green(float(moved.a), float(moved.b))
+    return GreenValue(_exp_log_green(log_value, torus), log_value)
+
+
+_EXACT = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                   st.one_of(st.integers(1, 10 ** 6), st.just(3 ** 40)))
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.03, 2000.0), _EXACT, _EXACT)
+@example(0.73, 0.11, Fraction(-3), Fraction(12))  # (0, 0): G = 0
+@example(0.21, 1.13, Fraction(1, 3 ** 40), Fraction(0))  # within rounding of the origin
+@example(-2.9, 0.03, Fraction(-5, 3 ** 40), Fraction(7, 999_983))
+@example(0.1, 1400.0, Fraction(1, 2), Fraction(0))  # G underflows
+@example(0.1, 2800.0, Fraction(3, 10 ** 6), Fraction(-1, 2))  # G overflows
+@settings(max_examples=300)
+def test_green_on_exact_points_equals_the_transported_float_route(re, im, a, b):
+    # the integer transport rounds each coordinate as float(Fraction) of the
+    # reduced coordinate does: the same value, log and error
+    tau, z = TauPoint(re, im), TorusPoint(a, b)
+    assert _outcome(lambda: green(tau, z)) == _outcome(lambda: _green_by_transport(tau, z))
+
+
+def test_green_transports_only_float_and_mixed_points(count_calls):
+    counts = count_calls(transport_point)
+    tau = TauPoint(0.73, 0.11)
+    green(tau, TorusPoint(Fraction(3, 7), Fraction(5, 7)))
+    assert counts["transport_point"] == 0
+    green(tau, TorusPoint(3 / 7, 5 / 7))
+    assert counts["transport_point"] == 1
+    green(tau, TorusPoint(Fraction(3, 7), 5 / 7))
+    assert counts["transport_point"] == 2
+
+
+# (call, records that evaluate log G): the source and target of a degree-8
+# projection check; not energy's target record, read for log|eta| alone
+SERIES_FORMED = {
+    "green_projection_check": (lambda: green_projection_check(
+        quotient(TAU, CyclicSubgroup(8, 1, 2)), TorusPoint(Fraction(1, 3), 0),
+        TorusPoint(0.3, 0.7)), 2),
+    "a_invariant_adjunction_check": (lambda: a_invariant_adjunction_check(TAU), 1),
+    "energy": (lambda: energy(quotient(TAU, CyclicSubgroup(5, 1, 0))), 1),
+    "log_norm_eta": (lambda: log_norm_eta(TAU), 0),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_FORMED)
+def test_a_record_forms_its_series_constants_once_and_only_when_needed(name, count_calls):
+    call, records = SERIES_FORMED[name]
+    counts = count_calls(_series)
+    call()
+    assert counts["_series"] == records
+
+
+def test_a_record_raises_its_window_error_at_each_value_that_needs_it():
+    tight = SeriesTolerance(1e-12, 8)  # too few terms at reduced Im tau below ~2.2
+    assert torsion_product(TAU, 1, tight) == 1.0  # reads the zero pair alone
+    assert log_norm_eta(TAU, tight) == log_norm_eta(TAU)
+    torus = _Torus(TAU, tight)
+    for _ in range(2):
+        with pytest.raises(SeriesConvergenceError, match="needs 10 terms > max_terms=8"):
+            torus.log_green(0.3, 0.2)
+    with pytest.raises(SeriesConvergenceError, match="needs 10 terms > max_terms=8"):
+        green(TAU, TorusPoint(Fraction(1, 2), 0), tight)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

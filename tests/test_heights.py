@@ -39,6 +39,7 @@ from ellgreen.lattice import (
     cyclic_subgroups,
     exact_order_points,
     mult_by_n_kernel,
+    multiplication_isogeny,
     quotient,
     reduce_tau,
     subgroup_points,
@@ -178,6 +179,27 @@ def test_per_subgroup_telescoping():
 # ---------------------------------------------------------------------------
 # Faltings height
 # ---------------------------------------------------------------------------
+
+# an order or grid that is not an int, or is a bool: each was a raw TypeError,
+# a float-degree isogeny, a float count, a number, or (True) a product of 1.0
+NON_INT_ORDERS = {
+    "torsion_product": lambda: torsion_product(TAU, 2.0),
+    "torsion_product-bool": lambda: torsion_product(TAU, True),
+    "exact_order_log_green": lambda: exact_order_log_green(TAU, 3.0),
+    "average_green_over_cyclic": lambda: average_green_over_cyclic(TAU, 2.0),
+    "cyclic_subgroups": lambda: cyclic_subgroups(2.0),
+    "CyclicSubgroup": lambda: CyclicSubgroup(2.0, 1, 0),
+    "multiplication_isogeny": lambda: multiplication_isogeny(TAU, 2.0),
+    "cyclic_subgroup_count": lambda: cyclic_subgroup_count(2.0),
+    "green_mean_integral": lambda: green_mean_integral(TAU, 16.5),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_ORDERS)
+def test_orders_that_are_no_int_raise_value_error(name):
+    with pytest.raises(ValueError, match=r"must be an int >= (1|16), got (2\.0|True|3\.0|16\.5)$"):
+        NON_INT_ORDERS[name]()
+
 
 def test_height_input_validation():
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -76,3 +77,15 @@ def test_tracer_sees_every_call_to_the_per_torus_layers(count_calls):
     for span, fn in functions.items():
         assert executed[fn.__name__] > 0
         assert tracer.calls[span] == counts[fn.__name__] == executed[fn.__name__], span
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block, as a user pastes it
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(math.isfinite(float(x)) for x in printed)
+    product, predicted = namespace["product"], namespace["predicted"]
+    assert abs(product - predicted) < 1e-10 * predicted
