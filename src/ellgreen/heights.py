@@ -20,10 +20,9 @@ from .lattice import (
     _exact_order_pairs,
     _quotient_target,
     _set,
-    _subgroup_pairs,
     cyclic_subgroups,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, log_norm_delta, log_norm_eta
+from .modular import DEFAULT_TOL, SeriesTolerance, _classes, _Torus, log_norm_delta, log_norm_eta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,7 +76,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _Torus(tau, tol).log_green_sums(m, [_exact_order_pairs(m)])[0]
+    return _Torus(tau, tol).log_green_sums(m, [_classes(m, _exact_order_pairs(m))])[0]
 
 
 def average_height_increment(n: int) -> float:
@@ -131,7 +130,7 @@ def _average_green_over_cyclic(torus: _Torus, n: int, subs: list[CyclicSubgroup]
     # cyclic_subgroups(n) and log_norm_eta (log_norm_delta / 24) of each target
     count = len(subs)
     log_delta_src = 24.0 * torus.log_norm_eta
-    green_sums = torus.log_green_sums(n, [_subgroup_pairs(sub) for sub in subs])
+    green_sums = torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
     delta_drops = [(log_delta_src - 24.0 * log_norm_target) / 12.0
                    for log_norm_target in log_norm_targets]
     return AverageHeightReport(

@@ -264,11 +264,6 @@ def _points(n: int, pairs: list[tuple[int, int]]) -> list[TorusPoint]:
     return [TorusPoint(Fraction(i, n), Fraction(j, n)) for i, j in pairs]
 
 
-def _subgroup_pairs(sub: CyclicSubgroup) -> list[tuple[int, int]]:
-    n, u, v = sub.order, sub.u, sub.v
-    return [((k * u) % n, (k * v) % n) for k in range(n)]
-
-
 def _exact_order_pairs(m: int) -> list[tuple[int, int]]:
     _check_order(m, "order")
     return [(a, b) for a in range(m) for b in range(m) if gcd(gcd(a, b), m) == 1]
@@ -298,7 +293,8 @@ def _kernel_pairs(t: IntMatrix, n: int) -> list[tuple[int, int]]:
 
 def subgroup_points(sub: CyclicSubgroup) -> list[TorusPoint]:
     """The order-N points k*(u/N, v/N) mod 1, k = 0..N-1 (zero included)."""
-    return _points(sub.order, _subgroup_pairs(sub))
+    n, u, v = sub.order, sub.u, sub.v
+    return _points(n, [((k * u) % n, (k * v) % n) for k in range(n)])
 
 
 def exact_order_points(m: int) -> list[TorusPoint]:

@@ -6,10 +6,11 @@ theta value comes from one shifted sum with its dominant term taken out as a
 log, so its terms are bounded by 1 and it neither overflows nor underflows
 whatever the point or Im tau.  It has two forms that give the same bits: a
 one-point loop (`_shifted_sum`) for theta, theta', ||theta||, single values
-of log G and sums over one cyclic group, and a weight row times a phase row
-(`log_abs_theta_shifted`) for larger sums and the midpoint grid, where many
-points share rows; each request forms its series constants once.  `_Torus`,
-one reduced torus, is the record every value and sum of log G is evaluated on.
+of log G and a lone group's sum, and a weight row times a phase row
+(`log_abs_theta_shifted`) for the shared tables of log G and the midpoint
+grid.  `_Torus`, one reduced torus, is the record every value and sum of
+log G is evaluated on; a sum walks +-P classes, a cyclic group from its
+generator, and forms the series constants once.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import TauPoint, TorusPoint, _Value, _set, reduce_tau
+from .lattice import IntMatrix, TauPoint, TorusPoint, _Value, _kernel_pairs, _set, reduce_tau
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -224,13 +226,13 @@ def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
     the weight row of d (`_weight_row`) and the phase row of c (`_phase_row`).
 
-    This row form serves `_Torus.log_green_sums` requests of more than n pairs,
-    where many points share rows; one point, or one cyclic group of n pairs,
-    goes through `_shifted_sum`, which gives the same bits.  The dominant
-    term's modulus exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under-
-    or overflows at any Im tau.  Raises ArithmeticError where the scaled sum
-    is within a few rounding errors of 0 (c + d*tau within about 1e-16 of a
-    zero of theta): no digit of the log survives there.
+    This row form fills `_Torus.log_green_sums`'s shared tables; one point, or
+    a lone group walked on a record with no table, goes through `_shifted_sum`,
+    which gives the same bits.  The dominant term's modulus
+    exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under- or overflows at
+    any Im tau.  Raises ArithmeticError where the scaled sum is within a few
+    rounding errors of 0 (c + d*tau within about 1e-16 of a zero of theta):
+    no digit of the log survives there.
     """
     _, lead, weights = row
     size = abs(_scaled_sum(weights, phases))
@@ -311,8 +313,8 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
 class _Torus:
     """The torus marked by tau, reduced once: the reduced tau `red`, the
     matrix `mat` with red = mat.tau, log|eta(red)|, its `series` constants
-    and, per n, the weight rows, phase rows and +-P table of log G that
-    `log_green_sums` fills."""
+    and, per n, the weight rows, phase rows and table of log G by +-P class
+    representative that `log_green_sums` fills."""
 
     __slots__ = ("tau", "tol", "red", "mat", "log_eta", "tables", "series")
 
@@ -332,44 +334,62 @@ class _Torus:
         series = self.series = self.series or _series(self.red, self.tol)
         return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self.log_eta
 
-    def log_green_sums(self, n: int, pair_lists: list[list[tuple[int, int]]]) -> list[float]:
-        # Per list, the sum of log G(0, (i + j*tau)/n) over its pairs (i, j) mod n
-        # (0 for the zero pair); pairs move through `mat` in integers.  G(-P) =
-        # G(P): each class is evaluated once, at min(P, -P) as green() does (a/n
-        # rounds as float(Fraction(a, n))), and filed under P and -P, so a sum
-        # depends neither on the other lists nor on earlier calls.  Keys are the
-        # int a*n + b: tuple keys held for a whole verify run raise its peak RSS.
-        # One cyclic group (at most n pairs) would use most rows once: one loop per class.
-        log_eta, tables = self.log_eta, self.tables
+    def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
+        # the +-P classes of the group of (i, j), of exact order n mod n: g = mat.(i, j)
+        # once, then k*g (k = 1..n/2) at min(k*g, -k*g), weight 2 (1 at k = n/2)
         (ma, mb), (mc, md) = self.mat
-        if n not in tables:
-            tables[n] = {}, {}, {0: 0.0}
-        weights, phases, table = tables[n]
-        one_point, series = sum(map(len, pair_lists)) <= n, self.series
+        i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
+        return {min((k * i % n, k * j % n), (-k * i % n, -k * j % n)): 1 if 2 * k == n else 2
+                for k in range(1, n // 2 + 1)}
+
+    def kernel_classes(self, t: IntMatrix, n: int) -> dict[tuple[int, int], int]:
+        # the +-P classes of T's kernel, walked from the first c1 + l*c2 (c1, c2 the
+        # columns of adj(T)) of exact order n, which a cyclic kernel has (per prime p | n
+        # one l mod p fails at most); a kernel with none moves each pair through `mat`
+        (t11, t12), (t21, t22) = t
+        for l in range(n):
+            i, j = (t22 - l * t12) % n, (l * t11 - t21) % n
+            if math.gcd(i, j, n) == 1:
+                return self.walk(n, i, j)
+        (ma, mb), (mc, md) = self.mat
+        return _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n)
+                            for i, j in _kernel_pairs(t, n)])
+
+    def log_green_sums(self, n: int, class_lists: list[dict[tuple[int, int], int]]) -> list[float]:
+        # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
+        # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
+        # 2*x is exact, so fsum gives the bits of the sum over the points.  A lone
+        # group (at most n/2 + 1 classes) on a record with no n-table goes one loop
+        # per class; any other request fills the n-table from shared rows, keyed by
+        # the int a*n + b (tuple keys held for a whole verify run raise its peak RSS).
+        if len(class_lists) == 1 and n not in self.tables and len(class_lists[0]) <= n // 2 + 1:
+            return [math.fsum([w * self.log_green(a / n, b / n)
+                               for (a, b), w in class_lists[0].items()])]
+        weights, phases, table = self.tables.setdefault(n, ({}, {}, {}))
         sums = []
-        for pairs in pair_lists:
+        for classes in class_lists:
             logs = []
-            for i, j in pairs:
-                a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
+            for (a, b), w in classes.items():
                 key = a * n + b
                 if key not in table:
-                    a, b = min((a, b), (-a % n, -b % n))
-                    series = self.series = series or _series(self.red, self.tol)
-                    if one_point:
-                        log = _log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0, series)
-                    else:
-                        if b not in weights:
-                            weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
-                        if a not in phases:
-                            phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
-                        log = log_abs_theta_shifted(weights[b], phases[a])
-                    table[a * n + b] = table[(-a % n) * n + (-b % n)] = log - log_eta
-                logs.append(table[key])
+                    series = self.series = self.series or _series(self.red, self.tol)
+                    if b not in weights:
+                        weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
+                    if a not in phases:
+                        phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
+                    table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self.log_eta
+                logs.append(w * table[key])
             sums.append(math.fsum(logs))
-        if len(table) == n * n:  # every class is in: no later call needs a row
+        if len(table) == n * n // 2 + 1 - n % 2:  # every class is in: no later call needs a row
             weights.clear()
             phases.clear()
         return sums
+
+
+def _classes(n: int, pairs: list[tuple[int, int]]) -> Counter:
+    # {min(P, -P): how many of the pairs are P or -P} over the nonzero pairs P mod
+    # n; the n-torsion and exact-order sets need no move: `mat` maps each onto itself
+    return Counter(min((a, b), (-a % n, -b % n)) for a, b in pairs if a or b)
 
 
 # ---------------------------------------------------------------------------

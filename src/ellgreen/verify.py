@@ -39,8 +39,8 @@ from .lattice import (
     quotient,
     reduce_tau,
 )
-from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _omega_norm, delta, log_norm_eta,
-                      theta_dz)
+from .modular import (DEFAULT_TOL, SeriesTolerance, _classes, _Torus, _omega_norm, delta,
+                      log_norm_eta, theta_dz)
 from .weierstrass import (
     PeriodData,
     _cubic_roots,
@@ -185,7 +185,7 @@ def _check_averages(sampled, quotients, subgroups, n_max) -> list[CheckResult]:
 
 
 def _check_exact_order_sums(sampled, m_max) -> list[CheckResult]:
-    worst = _worse(0.0, *(abs(torus.log_green_sums(m, [_exact_order_pairs(m)])[0]
+    worst = _worse(0.0, *(abs(torus.log_green_sums(m, [_classes(m, _exact_order_pairs(m))])[0]
                               - exact_order_log_green_expected(m))
                           for torus in sampled for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope

@@ -297,7 +297,7 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     out, torus = [], _Torus(tau, tol)
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         (ai, bi), (aj, bj) = _HALF_PERIOD_COORDS[i], _HALF_PERIOD_COORDS[j]
-        lhs = 12.0 * torus.log_green_sums(2, [[(aj - ai, bj - bi)]])[0]
+        lhs = 12.0 * torus.log_green_sums(2, [torus.walk(2, aj - ai, bj - bi)])[0]
         rhs = (math.log(16.0) + 2.0 * log_dist[(i, j)]
                - log_dist[tuple(sorted((i, k)))] - log_dist[tuple(sorted((j, k)))])
         out.append(abs(math.expm1(lhs - rhs)))

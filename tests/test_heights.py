@@ -30,11 +30,11 @@ from ellgreen.green import (
 )
 from ellgreen.lattice import (
     CyclicSubgroup,
+    Isogeny,
     TauPoint,
     TorusPoint,
     _exact_order_pairs,
     _kernel_pairs,
-    _subgroup_pairs,
     _torsion_pairs,
     cyclic_subgroups,
     exact_order_points,
@@ -44,7 +44,8 @@ from ellgreen.lattice import (
     reduce_tau,
     subgroup_points,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _shifted_sum,
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _classes, _log_abs_eta,
+                              _shifted_sum,
                               invariants, log_abs_theta_shifted, log_norm_delta, log_norm_eta)
 from ellgreen.weierstrass import two_torsion_green_check
 
@@ -270,6 +271,12 @@ def plus_minus_representative(p, n):
     return TorusPoint(Fraction(i, n), Fraction(j, n))
 
 
+def moved_classes(torus, pairs, n):
+    # the +-P classes of pairs each moved through the reduction on its own
+    (ma, mb), (mc, md) = torus.mat
+    return _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in pairs])
+
+
 def per_point_logs(tau, points, n=None):
     # log G at each nonzero point, or at its +-P representative when n is given
     if n is not None:
@@ -323,14 +330,15 @@ def test_kernel_sums_equal_green_at_plus_minus_representatives(n):
 @pytest.mark.parametrize("n", [2, 6, 12, 24])
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
 def test_shared_table_sums_equal_one_list_calls(tau, n):
-    # a sum depends on its own list only, not on the lists sharing the table
-    lists = [_subgroup_pairs(sub) for sub in cyclic_subgroups(n)]
-    def sums(pair_lists):
-        return _Torus(tau, DEFAULT_TOL).log_green_sums(n, pair_lists)
+    # a sum depends on its own group only, not on the groups sharing the table
+    subs = cyclic_subgroups(n)
+    def sums(subs):
+        torus = _Torus(tau, DEFAULT_TOL)
+        return torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
 
-    alone = [sums([pairs])[0] for pairs in lists]
-    assert sums(lists) == alone
-    assert sums(lists[::-1])[::-1] == alone
+    alone = [sums([sub])[0] for sub in subs]
+    assert sums(subs) == alone
+    assert sums(subs[::-1])[::-1] == alone
 
 
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
@@ -338,14 +346,15 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
     # run_checks hands one _Torus record per tau to the torsion (2), kernel
     # (3), subgroup (5) and exact-order (6) sums at N <= 12: in any call order,
     # each call's sums equal (==) those from a fresh record
-    calls = []
+    calls, torus = [], _Torus(tau, DEFAULT_TOL)  # the class lists depend on tau alone
     for n in range(1, 13):
         subs = cyclic_subgroups(n)
+        kernels = [quotient(tau, sub).coordinate_matrix() for sub in subs]
         calls += [
-            (n, [_torsion_pairs(n)]),
-            (n, [_kernel_pairs(quotient(tau, sub).coordinate_matrix(), n) for sub in subs]),
-            (n, [_subgroup_pairs(sub) for sub in subs]),
-            (n, [_exact_order_pairs(n)]),
+            (n, [_classes(n, _torsion_pairs(n))]),
+            (n, [torus.kernel_classes(t, n) for t in kernels]),
+            (n, [torus.walk(n, sub.u, sub.v) for sub in subs]),
+            (n, [_classes(n, _exact_order_pairs(n))]),
         ]
     fresh = [_Torus(tau, DEFAULT_TOL).log_green_sums(n, lists) for n, lists in calls]
     in_order = list(range(len(calls)))
@@ -360,7 +369,7 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
         subs = cyclic_subgroups(n)
         isos = [quotient(tau, sub) for sub in subs]
         log_targets = [log_norm_eta(iso.target) for iso in isos]
-        assert (shared.log_green_sums(n, [_exact_order_pairs(n)])[0]
+        assert (shared.log_green_sums(n, [_classes(n, _exact_order_pairs(n))])[0]
                 == exact_order_log_green(tau, n))
         assert (_average_green_over_cyclic(shared, n, subs, log_targets)
                 == average_green_over_cyclic(tau, n))
@@ -371,8 +380,8 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
     # G(-P) = G(P): a kernel sum evaluates (points + 2-torsion points) / 2
     # shifted theta sums, and average_green_over_cyclic shares them across
-    # its subgroups.  Counts are (row form, one-point loop): one cyclic group
-    # (an energy's kernel) builds no rows
+    # its subgroups.  Counts are (row form, one-point loop): one kernel (an
+    # energy's, cyclic or not) builds no rows
     counts = count_calls(log_abs_theta_shifted, _shifted_sum)
 
     def count(run):
@@ -384,6 +393,9 @@ def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
     assert count(lambda: average_green_over_cyclic(TAU, 24)) == (289, 0)
     assert count(lambda: torsion_product(TAU, 30)) == (451, 0)  # (899 + 3) / 2
     assert count(lambda: energy(quotient(TAU, CyclicSubgroup(12, 1, 0)))) == (0, 6)  # (11 + 1) / 2
+    # multiplication by 3 and by 2: kernels with no generator, (8 + 0) / 2 and (3 + 3) / 2
+    assert count(lambda: energy(multiplication_isogeny(TAU, 3))) == (0, 4)
+    assert count(lambda: energy(multiplication_isogeny(TAU, 2))) == (0, 3)
 
 
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
@@ -392,10 +404,59 @@ def test_one_group_sums_equal_the_sums_from_rows(tau):
     # request has filled the n-table from rows it is read from the table
     for n in range(1, 13):
         for sub in cyclic_subgroups(n):
-            pairs = [_kernel_pairs(quotient(tau, sub).coordinate_matrix(), n)]
             fresh, filled = _Torus(tau, DEFAULT_TOL), _Torus(tau, DEFAULT_TOL)
-            filled.log_green_sums(n, [_torsion_pairs(n)])
-            assert fresh.log_green_sums(n, pairs) == filled.log_green_sums(n, pairs)
+            t = quotient(tau, sub).coordinate_matrix()
+            filled.log_green_sums(n, [_classes(n, _torsion_pairs(n))])
+            assert (fresh.log_green_sums(n, [fresh.kernel_classes(t, n)])
+                    == filled.log_green_sums(n, [filled.kernel_classes(t, n)]))
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The generators `_Torus.walk` is called with, in order."""
+    walk, generators = _Torus.walk, []
+
+    def spy(self, n, i, j):
+        generators.append((i, j))
+        return walk(self, n, i, j)
+    monkeypatch.setattr(_Torus, "walk", spy)
+    return generators
+
+
+@pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
+def test_a_cyclic_kernel_is_walked_from_the_generator_of_its_matrix(tau, walked):
+    # the generator read off T generates T's kernel, and its walk files the
+    # classes that moving every pair of the group through the reduction files
+    torus = _Torus(tau, DEFAULT_TOL)
+    for n in range(1, 31):
+        for sub in cyclic_subgroups(n):
+            t = quotient(tau, sub).coordinate_matrix()
+            classes = torus.kernel_classes(t, n)
+            (i, j), = walked
+            walked.clear()
+            assert {(k * i % n, k * j % n) for k in range(n)} == set(_kernel_pairs(t, n))
+            assert classes == moved_classes(torus, _kernel_pairs(t, n), n)
+            pairs = [(int(p.a * n), int(p.b * n)) for p in subgroup_points(sub)]
+            assert torus.walk(n, sub.u, sub.v) == moved_classes(torus, pairs, n)
+            walked.clear()
+
+
+def test_a_kernel_with_no_generator_takes_the_pairs_path(walked):
+    # multiplication by k, and T = 2*diag(1, 3) (kernel Z/2 x Z/6): no pair
+    # has exact order N, and the energy sums each moved kernel pair
+    scaled = Isogeny(TAU, TauPoint.from_complex(TAU.z / 3), 12, 2.0)
+    assert scaled.coordinate_matrix() == ((2, 0), (0, 6))
+    for iso in [multiplication_isogeny(tau, k) for tau in (TAU, UNREDUCED_TAU)
+                for k in (2, 3, 4)] + [scaled]:
+        n, t = iso.degree, iso.coordinate_matrix()
+        torus = _Torus(iso.source, DEFAULT_TOL)
+        classes = torus.kernel_classes(t, n)
+        assert walked == []
+        assert classes == moved_classes(torus, _kernel_pairs(t, n), n)
+        log_product = torus.log_green_sums(n, [classes])[0]
+        assert energy(iso)[0] == math.exp(log_product)
+        if iso.source == TAU:  # no pair moves: each class is green() at min(P, -P)
+            assert log_product == math.fsum(per_point_logs(TAU, iso.kernel, n))
 
 
 # ---------------------------------------------------------------------------
