@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import Counter
 from functools import lru_cache
 from operator import mul
 
@@ -386,10 +385,11 @@ class _Torus:
         return sums
 
 
-def _classes(n: int, pairs: list[tuple[int, int]]) -> Counter:
-    # {min(P, -P): how many of the pairs are P or -P} over the nonzero pairs P mod
-    # n; the n-torsion and exact-order sets need no move: `mat` maps each onto itself
-    return Counter(min((a, b), (-a % n, -b % n)) for a, b in pairs if a or b)
+def _classes(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    # {min(P, -P): 2, or 1 where P = -P} over the nonzero pairs P mod n of a set closed
+    # under P -> -P; the n-torsion and exact-order sets need no move: `mat` maps each onto itself
+    return {(a, b): 1 if (a, b) == neg else 2 for a, b in pairs
+            if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
 
 
 # ---------------------------------------------------------------------------
