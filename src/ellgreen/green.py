@@ -130,8 +130,8 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     green(source, z - Q) forms it; the target term as green() forms it, from
     the exact value of a float w when z is exact.
     """
-    # Q = adj(T).w/n + (i, j)/n as integers over den = n*e, with an exact z, each fiber
-    # point, its move and the target term; int / int rounds as float(Fraction) does
+    # Q = adj(T).w/n + (i, j)/n as integers over den = n*e, and for an exact z also z - Q,
+    # its move and f(z) - w; int / int rounds as float(Fraction) does, whatever den is
     n, ((t11, t12), (t21, t22)) = iso.degree, iso.coordinate_matrix()
     exact = z.a.__class__ is Fraction and z.b.__class__ is Fraction
     (za, ea), (zb, eb) = [x.as_integer_ratio() if exact else (0, 1) for x in (z.a, z.b)]

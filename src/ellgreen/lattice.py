@@ -258,7 +258,7 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
 
 
 # Torsion points are enumerated as integer pairs (i, j) for (i/n, j/n) mod 1;
-# kernel sums use the pairs, the public point lists are built from them.
+# the torsion and exact-order sums count +-P classes over them, the point lists build on them.
 
 def _points(n: int, pairs: list[tuple[int, int]]) -> list[TorusPoint]:
     return [TorusPoint(Fraction(i, n), Fraction(j, n)) for i, j in pairs]

@@ -334,7 +334,7 @@ class _Torus:
         return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self.log_eta
 
     def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
-        # the +-P classes of the group of (i, j), of exact order n mod n: g = mat.(i, j)
+        # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
         # once, then k*g (k = 1..n/2) at min(k*g, -k*g), weight 2 (1 at k = n/2)
         (ma, mb), (mc, md) = self.mat
         i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
