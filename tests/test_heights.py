@@ -45,8 +45,8 @@ from ellgreen.lattice import (
     subgroup_points,
 )
 from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _classes, _log_abs_eta,
-                              _shifted_sum,
-                              invariants, log_abs_theta_shifted, log_norm_delta, log_norm_eta)
+                              _shifted_sum, invariants, log_abs_theta_shifted, log_norm_delta,
+                              log_norm_eta)
 from ellgreen.weierstrass import two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
