@@ -23,7 +23,6 @@ from .lattice import (
     _kernel_pairs,
     _mod_one,
     _set,
-    _torsion_pairs,
     transport_point,
 )
 from .modular import (
@@ -31,7 +30,6 @@ from .modular import (
     SeriesTolerance,
     log_norm_eta,
     _Torus,
-    _classes,
     _exp_normal,
     _omega_norm,
     _phase_row,
@@ -127,46 +125,33 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     log G_target(w, f(z)) and returns the absolute difference; raises if z is
     in the fiber of w (log 0), and as green() does on the target.  The fiber
     is exact over one integer denominator, a float w too, each term formed as
-    green(source, z - Q) forms it; the target term as green() forms it, from
-    the exact value of a float w when z is exact.
+    green(source, z - Q) forms it; the target term as green() forms it.
     """
-    # Q = adj(T).w/n + (i, j)/n as integers over den = n*e, and for an exact z also z - Q,
-    # its move and f(z) - w; int / int rounds as float(Fraction) does, whatever den is
+    # Q = adj(T).w/n + (i, j)/n over the kernel pairs, as integers over den;
+    # int / int rounds as float(Fraction) does, whatever the denominator
     n, ((t11, t12), (t21, t22)) = iso.degree, iso.coordinate_matrix()
-    exact = z.a.__class__ is Fraction and z.b.__class__ is Fraction
-    (za, ea), (zb, eb) = [x.as_integer_ratio() if exact else (0, 1) for x in (z.a, z.b)]
     (wa, da), (wb, db) = w.a.as_integer_ratio(), w.b.as_integer_ratio()
-    e = da * db * ea * eb
-    den, scale = n * e, n * e if exact else 1.0  # x / 1.0 is float(x) for a Fraction x
-    za, zb, wa, wb = za * (den // ea), zb * (den // eb), wa * (e // da), wb * (e // db)
-    qa, qb = t22 * wa - t12 * wb, t11 * wb - t21 * wa
+    d, den = da * db, n * da * db
+    qa, qb = t22 * wa * db - t12 * wb * da, t11 * wb * da - t21 * wa * db
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
     torus = _Torus(iso.source, tol)
     (ma, mb), (mc, md) = torus.mat
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
-        if exact:
-            pa, pb = (za - qa - e * i) % den, (zb - qb - e * j) % den
-            a, b = (ma * pa - mb * pb) % den, (md * pb - mc * pa) % den
-        else:
-            pa = _mod_one(z.a - div_a((qa + e * i) % den, den), "a")
-            pb = _mod_one(z.b - div_b((qb + e * j) % den, den), "b")
-            a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
+        pa = _mod_one(z.a - div_a((qa + d * i) % den, den), "a")
+        pb = _mod_one(z.b - div_b((qb + d * j) % den, den), "b")
+        a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
         if a == 0 and b == 0:
             raise ValueError("z lies in the fiber of w; log G(Q, z) diverges")
-        logs.append(torus.log_green(a / scale, b / scale))
+        logs.append(torus.log_green(float(a), float(b)))
+    fa = _mod_one(_mod_one(t11 * z.a + t12 * z.b, "a") - w.a, "a")
+    fb = _mod_one(_mod_one(t21 * z.a + t22 * z.b, "b") - w.b, "b")
     torus = _Torus(iso.target, tol)
     (ma, mb), (mc, md) = torus.mat
-    if exact:
-        fa, fb = t11 * za + t12 * zb - n * wa, t21 * za + t22 * zb - n * wb
-        a, b = (ma * fa - mb * fb) % den, (md * fb - mc * fa) % den
-    else:
-        fa = _mod_one(_mod_one(t11 * z.a + t12 * z.b, "a") - w.a, "a")
-        fb = _mod_one(_mod_one(t21 * z.a + t22 * z.b, "b") - w.b, "b")
-        a, b = _mod_one(ma * fa - mb * fb, "a"), _mod_one(md * fb - mc * fa, "b")
+    a, b = _mod_one(ma * fa - mb * fb, "a"), _mod_one(md * fb - mc * fa, "b")
     if a == 0 and b == 0:
         raise ValueError("f(z) coincides with w; log G diverges")
-    log_target = torus.log_green(a / scale, b / scale)
+    log_target = torus.log_green(float(a), float(b))
     _exp_log_green(log_target, torus)  # green()'s range check
     return abs(math.fsum(logs) - log_target)
 
@@ -182,7 +167,7 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
 
 
 def _torsion_product(torus: _Torus, n: int) -> float:
-    log_product = torus.log_green_sums(n, [_classes(n, _torsion_pairs(n))])[0]
+    log_product = torus.log_green_sums(n, [torus.torsion_classes(n)])[0]
     return _exp_log_green(log_product, torus, "kernel product")
 
 

@@ -17,12 +17,11 @@ from .lattice import (
     TauPoint,
     _Value,
     _check_order,
-    _exact_order_pairs,
     _quotient_target,
     _set,
     cyclic_subgroups,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, _classes, _Torus, log_norm_delta, log_norm_eta
+from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, log_norm_delta, log_norm_eta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -76,7 +75,8 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    return _Torus(tau, tol).log_green_sums(m, [_classes(m, _exact_order_pairs(m))])[0]
+    torus = _Torus(tau, tol)
+    return torus.log_green_sums(m, [torus.torsion_classes(m, exact_order=True)])[0]
 
 
 def average_height_increment(n: int) -> float:

@@ -22,7 +22,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import IntMatrix, TauPoint, TorusPoint, _Value, _kernel_pairs, _set, reduce_tau
+from .lattice import (IntMatrix, TauPoint, TorusPoint, _Value, _exact_order_pairs, _kernel_pairs,
+                      _set, _torsion_pairs, reduce_tau)
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -354,6 +355,11 @@ class _Torus:
         return _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n)
                             for i, j in _kernel_pairs(t, n)])
 
+    def torsion_classes(self, n: int, exact_order: bool = False) -> dict[tuple[int, int], int]:
+        # the +-P classes of the nonzero n-torsion, or of its points of exact order n;
+        # `mat` maps each set onto itself, so its pairs need no move
+        return _classes(n, _exact_order_pairs(n) if exact_order else _torsion_pairs(n))
+
     def log_green_sums(self, n: int, class_lists: list[dict[tuple[int, int], int]]) -> list[float]:
         # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
         # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
@@ -387,7 +393,7 @@ class _Torus:
 
 def _classes(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
     # {min(P, -P): 2, or 1 where P = -P} over the nonzero pairs P mod n of a set closed
-    # under P -> -P; the n-torsion and exact-order sets need no move: `mat` maps each onto itself
+    # under P -> -P
     return {(a, b): 1 if (a, b) == neg else 2 for a, b in pairs
             if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
 

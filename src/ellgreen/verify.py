@@ -33,14 +33,13 @@ from .lattice import (
     TauPoint,
     TorusPoint,
     _Value,
-    _exact_order_pairs,
     _set,
     cyclic_subgroups,
     quotient,
     reduce_tau,
 )
-from .modular import (DEFAULT_TOL, SeriesTolerance, _classes, _Torus, _omega_norm, delta,
-                      log_norm_eta, theta_dz)
+from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _omega_norm, delta, log_norm_eta,
+                      theta_dz)
 from .weierstrass import (
     PeriodData,
     _cubic_roots,
@@ -185,9 +184,10 @@ def _check_averages(sampled, quotients, subgroups, n_max) -> list[CheckResult]:
 
 
 def _check_exact_order_sums(sampled, m_max) -> list[CheckResult]:
-    worst = _worse(0.0, *(abs(torus.log_green_sums(m, [_classes(m, _exact_order_pairs(m))])[0]
-                              - exact_order_log_green_expected(m))
-                          for torus in sampled for m in range(1, m_max + 1)))
+    worst = _worse(0.0, *(
+        abs(torus.log_green_sums(m, [torus.torsion_classes(m, exact_order=True)])[0]
+            - exact_order_log_green_expected(m))
+        for torus in sampled for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope
     worst_closed = _worse(0.0, *(
         abs(math.fsum(exact_order_log_green_expected(m) for m in range(2, n + 1) if n % m == 0)

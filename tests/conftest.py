@@ -56,3 +56,19 @@ def count_calls(monkeypatch):
                     monkeypatch.setattr(module, fn.__name__, wrapper)
         return counts
     return install
+
+
+@pytest.fixture
+def moved_classes():
+    """moved_classes(torus, pairs, n) counts the nonzero pairs P mod n, each moved
+    through the torus's reduction on its own, by +-P class min(P, -P): the class
+    weights a sum of log G over the pairs should use, found without a walk."""
+    def classes(torus, pairs, n):
+        (ma, mb), (mc, md) = torus.mat
+        counts = Counter()
+        for i, j in pairs:
+            a, b = (ma * i - mb * j) % n, (md * j - mc * i) % n
+            if a or b:
+                counts[min((a, b), (-a % n, -b % n))] += 1
+        return dict(counts)
+    return classes

@@ -32,9 +32,8 @@ from ellgreen.lattice import (
     quotient,
     transport_point,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _classes, _log_abs_eta,
-                              _phase_row, _series, _weight_row, log_abs_theta_shifted,
-                              log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _phase_row,
+                              _series, _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -343,7 +342,7 @@ def test_energy_multiplication_map_gives_order():
 
 
 @pytest.mark.parametrize("tau", [TAU, TauPoint(0.73, 0.11)], ids=["reduced", "unreduced"])
-def test_energies_of_one_source_equal_one_call_each(tau):
+def test_energies_of_one_source_equal_one_call_each(tau, moved_classes):
     # one +-P table for all subgroups of an order gives each isogeny's energy
     # exactly, and both equal the formula from a reduction per isogeny
     for n in range(1, 13):
@@ -354,9 +353,7 @@ def test_energies_of_one_source_equal_one_call_each(tau):
         for iso, got in zip(isos, shared):
             # each kernel pair moved on its own, not walked from a generator
             torus = _Torus(tau, DEFAULT_TOL)
-            (ma, mb), (mc, md) = torus.mat
-            classes = _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n)
-                                   for i, j in _kernel_pairs(iso.coordinate_matrix(), n)])
+            classes = moved_classes(torus, _kernel_pairs(iso.coordinate_matrix(), n), n)
             log_product = torus.log_green_sums(n, [classes])[0]
             log_ratio = 2.0 * (log_norm_eta(iso.target) - log_norm_eta(tau))
             assert got == (math.exp(log_product), math.sqrt(n) * math.exp(log_ratio))
@@ -418,12 +415,10 @@ def test_projection_identity_randomized(rng):
 
 def _projection_by_green(iso, w, z):
     # the projection residual from N + 1 green() values, one per fiber point
-    # and one on the target; the fiber of a float w is that of the rational it
-    # stores, and so is the target term of an exact z
+    # and one on the target; the fiber of a float w is that of the rational it stores
     exact = TorusPoint(Fraction(w.a), Fraction(w.b))
     lhs = math.fsum(green(iso.source, z - q).log_value for q in iso.fiber(exact))
-    exact_z = isinstance(z.a, Fraction) and isinstance(z.b, Fraction)
-    return abs(lhs - green(iso.target, iso.apply(z) - (exact if exact_z else w)).log_value)
+    return abs(lhs - green(iso.target, iso.apply(z) - w).log_value)
 
 
 def test_projection_check_equals_the_per_point_green_formula(rng):
@@ -446,47 +441,6 @@ def test_projection_check_equals_the_per_point_green_formula(rng):
         else:
             z = TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         assert green_projection_check(iso, w, z) == _projection_by_green(iso, w, z)
-
-
-def _exact_projection_instances():
-    # the timed instance of the integer fiber, then 11 seeded ones, a third
-    # at an unreduced source
-    rng = random.Random(43)
-    out = [(quotient(TauPoint(0.21, 1.13), CyclicSubgroup(8, 1, 2)),
-            TorusPoint(Fraction(1, 3), 0), TorusPoint(Fraction(3, 10), Fraction(7, 10)))]
-    for k in range(11):
-        tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.0))
-        if k % 3 == 0:
-            tau = TauPoint.from_complex(-1 / (tau.z + rng.randint(-2, 2)))
-        n = rng.randint(1, 12)
-        subs = cyclic_subgroups(n)
-        iso = quotient(tau, subs[rng.randrange(len(subs))])
-        dw, dz = rng.choice([1, 2, 7, 16]), rng.choice([5, 12, 97])
-        w = TorusPoint(Fraction(rng.randrange(dw), dw), Fraction(rng.randrange(dw), dw))
-        z = TorusPoint(Fraction(rng.randrange(1, dz), dz), Fraction(rng.randrange(1, dz), dz))
-        out.append((iso, w, z))
-    return out
-
-
-# green_projection_check on _exact_projection_instances() when the fiber of
-# an exact z still ran in Fraction arithmetic
-EXACT_PROJECTION_RESIDUALS = [
-    "2.4424906541753444e-15", "9.992007221626409e-16", "8.459899447643693e-14",
-    "3.3306690738754696e-16", "2.3314683517128287e-15", "3.320677066653843e-13",
-    "6.661338147750939e-16", "6.106226635438361e-16", "1.7208456881689926e-15",
-    "5.551115123125783e-17", "7.494005416219807e-15", "7.016609515630989e-14",
-]
-
-
-def test_projection_check_of_exact_points_keeps_its_bits_in_integers():
-    instances = _exact_projection_instances()
-    assert [repr(green_projection_check(*args)) for args in instances] == EXACT_PROJECTION_RESIDUALS
-    # an exact z reads a float w as the rational it stores, in the target term too
-    rng = random.Random(44)
-    for iso, _, z in instances:
-        w = TorusPoint(rng.random(), rng.random())
-        exact = TorusPoint(Fraction(w.a), Fraction(w.b))
-        assert green_projection_check(iso, w, z) == green_projection_check(iso, exact, z)
 
 
 @pytest.mark.parametrize("w, z, kind", [

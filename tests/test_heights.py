@@ -44,9 +44,8 @@ from ellgreen.lattice import (
     reduce_tau,
     subgroup_points,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _classes, _log_abs_eta,
-                              _shifted_sum, invariants, log_abs_theta_shifted, log_norm_delta,
-                              log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _shifted_sum,
+                              invariants, log_abs_theta_shifted, log_norm_delta, log_norm_eta)
 from ellgreen.weierstrass import two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
@@ -271,12 +270,6 @@ def plus_minus_representative(p, n):
     return TorusPoint(Fraction(i, n), Fraction(j, n))
 
 
-def moved_classes(torus, pairs, n):
-    # the +-P classes of pairs each moved through the reduction on its own
-    (ma, mb), (mc, md) = torus.mat
-    return _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in pairs])
-
-
 def per_point_logs(tau, points, n=None):
     # log G at each nonzero point, or at its +-P representative when n is given
     if n is not None:
@@ -351,10 +344,10 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
         subs = cyclic_subgroups(n)
         kernels = [quotient(tau, sub).coordinate_matrix() for sub in subs]
         calls += [
-            (n, [_classes(n, _torsion_pairs(n))]),
+            (n, [torus.torsion_classes(n)]),
             (n, [torus.kernel_classes(t, n) for t in kernels]),
             (n, [torus.walk(n, sub.u, sub.v) for sub in subs]),
-            (n, [_classes(n, _exact_order_pairs(n))]),
+            (n, [torus.torsion_classes(n, exact_order=True)]),
         ]
     fresh = [_Torus(tau, DEFAULT_TOL).log_green_sums(n, lists) for n, lists in calls]
     in_order = list(range(len(calls)))
@@ -369,7 +362,7 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
         subs = cyclic_subgroups(n)
         isos = [quotient(tau, sub) for sub in subs]
         log_targets = [log_norm_eta(iso.target) for iso in isos]
-        assert (shared.log_green_sums(n, [_classes(n, _exact_order_pairs(n))])[0]
+        assert (shared.log_green_sums(n, [shared.torsion_classes(n, exact_order=True)])[0]
                 == exact_order_log_green(tau, n))
         assert (_average_green_over_cyclic(shared, n, subs, log_targets)
                 == average_green_over_cyclic(tau, n))
@@ -406,7 +399,7 @@ def test_one_group_sums_equal_the_sums_from_rows(tau):
         for sub in cyclic_subgroups(n):
             fresh, filled = _Torus(tau, DEFAULT_TOL), _Torus(tau, DEFAULT_TOL)
             t = quotient(tau, sub).coordinate_matrix()
-            filled.log_green_sums(n, [_classes(n, _torsion_pairs(n))])
+            filled.log_green_sums(n, [filled.torsion_classes(n)])
             assert (fresh.log_green_sums(n, [fresh.kernel_classes(t, n)])
                     == filled.log_green_sums(n, [filled.kernel_classes(t, n)]))
 
@@ -424,7 +417,7 @@ def walked(monkeypatch):
 
 
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
-def test_a_cyclic_kernel_is_walked_from_the_generator_of_its_matrix(tau, walked):
+def test_a_cyclic_kernel_is_walked_from_the_generator_of_its_matrix(tau, walked, moved_classes):
     # the generator read off T generates T's kernel, and its walk files the
     # classes that moving every pair of the group through the reduction files
     torus = _Torus(tau, DEFAULT_TOL)
@@ -441,7 +434,7 @@ def test_a_cyclic_kernel_is_walked_from_the_generator_of_its_matrix(tau, walked)
             walked.clear()
 
 
-def test_a_kernel_with_no_generator_takes_the_pairs_path(walked):
+def test_a_kernel_with_no_generator_takes_the_pairs_path(walked, moved_classes):
     # multiplication by k, and T = 2*diag(1, 3) (kernel Z/2 x Z/6): no pair
     # has exact order N, and the energy sums each moved kernel pair
     scaled = Isogeny(TAU, TauPoint.from_complex(TAU.z / 3), 12, 2.0)
@@ -457,6 +450,17 @@ def test_a_kernel_with_no_generator_takes_the_pairs_path(walked):
         assert energy(iso)[0] == math.exp(log_product)
         if iso.source == TAU:  # no pair moves: each class is green() at min(P, -P)
             assert log_product == math.fsum(per_point_logs(TAU, iso.kernel, n))
+
+
+def test_torsion_and_exact_order_classes_need_no_move(moved_classes):
+    # the reduction maps the n-torsion and its points of exact order n onto
+    # themselves, so their classes are read off the pairs as they are
+    torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
+    assert torus.mat != ((1, 0), (0, 1))
+    for n in range(1, 31):
+        assert torus.torsion_classes(n) == moved_classes(torus, _torsion_pairs(n), n)
+        assert (torus.torsion_classes(n, exact_order=True)
+                == moved_classes(torus, _exact_order_pairs(n), n))
 
 
 # ---------------------------------------------------------------------------
