@@ -149,6 +149,24 @@ def test_green_on_exact_points_equals_the_transported_float_route(re, im, a, b):
     assert _outcome(lambda: green(tau, z)) == _outcome(lambda: _green_by_transport(tau, z))
 
 
+_FLOAT = st.floats(-5.0, 5.0)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.03, 2000.0),
+       st.one_of(st.tuples(_FLOAT, _FLOAT), st.tuples(_EXACT, _FLOAT), st.tuples(_FLOAT, _EXACT)))
+@example(0.73, 0.11, (-3.0, 12.0))  # (0, 0): G = 0
+@example(0.73, 0.11, (Fraction(2), -0.0))
+@example(0.21, 1.13, (1e-17, 0.0))  # within rounding of the origin
+@example(-2.9, 0.03, (-1e-300, Fraction(7, 999_983)))
+@example(0.1, 1400.0, (0.5, 0.0))  # G underflows
+@example(0.1, 2800.0, (Fraction(3, 10 ** 6), -0.5))  # G overflows
+@settings(max_examples=300)
+def test_green_on_float_and_mixed_points_equals_the_transported_route(re, im, ab):
+    # a float or mixed point moves in floats as transport_point moves it
+    tau, z = TauPoint(re, im), TorusPoint(*ab)
+    assert _outcome(lambda: green(tau, z)) == _outcome(lambda: _green_by_transport(tau, z))
+
+
 def test_green_transports_only_float_and_mixed_points(count_calls):
     counts = count_calls(transport_point)
     tau = TauPoint(0.73, 0.11)
