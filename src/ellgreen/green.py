@@ -20,10 +20,10 @@ from .lattice import (
     TauPoint,
     TorusPoint,
     _Value,
+    _check_order,
     _kernel_pairs,
     _mod_one,
     _set,
-    transport_point,
 )
 from .modular import (
     DEFAULT_TOL,
@@ -83,10 +83,10 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     """G(0, z) on the torus marked by tau.
 
     tau is reduced to the fundamental domain and the point's lattice
-    coordinates are transported through the same change of marking, so the
-    result is an invariant of (torus, point class); an exact point moves in
-    integers and builds no Fraction.  Exactly zero iff the reduced point is
-    (0, 0).  log G is right at any reduced Im tau.
+    coordinates are moved through the same change of marking on its record
+    (`_Torus.log_green_at`), so the result is an invariant of (torus, point
+    class); an exact point moves in integers and builds no Fraction.  Exactly
+    zero iff the reduced point is (0, 0).  log G is right at any reduced Im tau.
 
     Raises ArithmeticError, naming log G and the reduced Im tau, where G is
     not a normal double: log G below ~-708.40 (from a reduced Im tau of
@@ -96,18 +96,9 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     it raises ArithmeticError instead of returning noise.
     """
     torus = _Torus(tau, tol)
-    if z.a.__class__ is Fraction and z.b.__class__ is Fraction:
-        # transport_point's map over den = qa*qb; int / int rounds as float(Fraction)
-        (pa, qa), (pb, qb) = z.a.as_integer_ratio(), z.b.as_integer_ratio()
-        (ma, mb), (mc, md) = torus.mat
-        den = qa * qb
-        a, b = (ma * pa * qb - mb * pb * qa) % den, (md * pb * qa - mc * pa * qb) % den
-    else:
-        moved, den = transport_point(z, torus.mat), 1.0  # Fraction / 1.0 is float(Fraction)
-        a, b = moved.a, moved.b
-    if a == 0 and b == 0:
+    log_value = torus.log_green_at(z.a, z.b)
+    if log_value is None:
         return GreenValue(0.0, -math.inf)
-    log_value = torus.log_green(a / den, b / den)
     return GreenValue(_exp_log_green(log_value, torus), log_value)
 
 
@@ -124,8 +115,8 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     Compares sum_{Q in f^{-1}(w)} log G_source(Q, z) against
     log G_target(w, f(z)) and returns the absolute difference; raises if z is
     in the fiber of w (log 0), and as green() does on the target.  The fiber
-    is exact over one integer denominator, a float w too, each term formed as
-    green(source, z - Q) forms it; the target term as green() forms it.
+    is exact over one integer denominator, a float w too; each term, z - Q
+    and f(z) - w, moves through its torus's reduction as green() moves it.
     """
     # Q = adj(T).w/n + (i, j)/n over the kernel pairs, as integers over den;
     # int / int rounds as float(Fraction) does, whatever the denominator
@@ -135,23 +126,19 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     qa, qb = t22 * wa * db - t12 * wb * da, t11 * wb * da - t21 * wa * db
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
     torus = _Torus(iso.source, tol)
-    (ma, mb), (mc, md) = torus.mat
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
-        pa = _mod_one(z.a - div_a((qa + d * i) % den, den), "a")
-        pb = _mod_one(z.b - div_b((qb + d * j) % den, den), "b")
-        a, b = _mod_one(ma * pa - mb * pb, "a"), _mod_one(md * pb - mc * pa, "b")
-        if a == 0 and b == 0:
+        log_value = torus.log_green_at(_mod_one(z.a - div_a((qa + d * i) % den, den), "a"),
+                                       _mod_one(z.b - div_b((qb + d * j) % den, den), "b"))
+        if log_value is None:
             raise ValueError("z lies in the fiber of w; log G(Q, z) diverges")
-        logs.append(torus.log_green(float(a), float(b)))
+        logs.append(log_value)
     fa = _mod_one(_mod_one(t11 * z.a + t12 * z.b, "a") - w.a, "a")
     fb = _mod_one(_mod_one(t21 * z.a + t22 * z.b, "b") - w.b, "b")
     torus = _Torus(iso.target, tol)
-    (ma, mb), (mc, md) = torus.mat
-    a, b = _mod_one(ma * fa - mb * fb, "a"), _mod_one(md * fb - mc * fa, "b")
-    if a == 0 and b == 0:
+    log_target = torus.log_green_at(fa, fb)
+    if log_target is None:
         raise ValueError("f(z) coincides with w; log G diverges")
-    log_target = torus.log_green(float(a), float(b))
     _exp_log_green(log_target, torus)  # green()'s range check
     return abs(math.fsum(logs) - log_target)
 
@@ -244,8 +231,7 @@ def green_mean_integral(tau: TauPoint, grid: int,
     (1+tau)/2, so the projection formula sums log G over them to
     log G(0, (1+tau)/2) (at (1/2, 1/2) in reduced coordinates).
     """
-    if grid.__class__ is not int or grid < 16:  # a bool is no int here
-        raise ValueError(f"grid must be an int >= 16, got {grid!r}")
+    _check_order(grid, "grid", 16)
     return _Torus(tau, tol).log_green(0.5, 0.5) / (grid * grid)
 
 

@@ -187,27 +187,12 @@ def transport_point(point: TorusPoint, mat: IntMatrix) -> TorusPoint:
     return TorusPoint(ma * point.a - mb * point.b, md * point.b - mc * point.a)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _normal_form(n: int, u: int, v: int) -> tuple[int, int]:
     # the (v, u)-least unit multiple of the order-n generator (u, v); see
     # CyclicSubgroup
-    h, s, _ = _egcd(v, n)
+    h = gcd(v, n)
     step = n // h
-    x = (s * u) % step
+    x = (pow(v // h, -1, step) * u) % step
     while gcd(x, h) != 1:
         x += step
     return x, h % n
@@ -370,9 +355,9 @@ class Isogeny(_Value):
         return [w0 + k for k in self.kernel]
 
 
-def _nearest_int(x: float, tol: float = 1e-6) -> int:
+def _nearest_int(x: float) -> int:
     n = round(x)
-    if abs(x - n) > tol:
+    if abs(x - n) > 1e-6:
         raise ValueError(f"expected an integer matrix entry, got {x!r}")
     return n
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import (IntMatrix, TauPoint, TorusPoint, _Value, _exact_order_pairs, _kernel_pairs,
-                      _set, _torsion_pairs, reduce_tau)
+from .lattice import (Coord, IntMatrix, TauPoint, TorusPoint, _Value, _exact_order_pairs,
+                      _kernel_pairs, _mod_one, _set, _torsion_pairs, reduce_tau)
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -261,15 +262,16 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
     n0, _, total = _shifted_sum(c, d, _series(tau, tol), deriv)
     if deriv:
         total = 2j * _PI * total
-    lead = 1j * _PI * (tau.z * (n0 * (n0 + 2.0 * d)) + 2.0 * n0 * c)
+    shift = n0 * (n0 + 2.0 * d)  # -inf once d^2 leaves the doubles
+    lead = 1j * _PI * (tau.z * shift + 2.0 * n0 * c)
     try:
         value = cmath.exp(lead) * total
     except OverflowError:
         value = complex(math.inf)
-    if cmath.isinf(value):
+    if not cmath.isfinite(value):  # log|value| in real arithmetic: inf, where lead is nan
         name = "theta'" if deriv else "theta"
         raise ArithmeticError(f"|{name}| overflows a double: "
-                              f"log|{name}| = {lead.real + math.log(abs(total))!r}")
+                              f"log|{name}| = {math.log(abs(total)) - _PI * (tau.im * shift)!r}")
     return value
 
 
@@ -312,17 +314,17 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
 
 class _Torus:
     """The torus marked by tau, reduced once: the reduced tau `red`, the
-    matrix `mat` with red = mat.tau, log|eta(red)|, its `series` constants
-    and, per n, the weight rows, phase rows and table of log G by +-P class
-    representative that `log_green_sums` fills."""
+    matrix `mat` with red = mat.tau (`log_green_at` moves a point of tau's
+    marking through it), log|eta(red)|, its `series` constants and, per n,
+    the finished table of log G by +-P class that `log_green_sums` fills."""
 
-    __slots__ = ("tau", "tol", "red", "mat", "log_eta", "tables", "series")
+    __slots__ = ("tol", "red", "mat", "log_eta", "tables", "series")
 
     def __init__(self, tau: TauPoint, tol: SeriesTolerance):
-        self.tau, self.tol = tau, tol
+        self.tol = tol
         self.red, self.mat = reduce_tau(tau)
         self.log_eta = _log_abs_eta(self.red, tol)
-        self.tables: dict[int, tuple[dict, dict, dict]] = {}
+        self.tables: dict[int, dict[int, float]] = {}
         self.series: _Series | None = None  # _series(red, tol), at the first log G that needs it
 
     @property
@@ -333,6 +335,21 @@ class _Torus:
         # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
         series = self.series = self.series or _series(self.red, self.tol)
         return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self.log_eta
+
+    def log_green_at(self, a: Coord, b: Coord) -> float | None:
+        # log G(0, a + b*tau), None at the origin: (a, b) moves through `mat` as in
+        # transport_point, two Fractions in integers over den = qa*qb (int / int
+        # rounds as float(Fraction) does), any other pair in floats
+        (ma, mb), (mc, md) = self.mat
+        if a.__class__ is Fraction and b.__class__ is Fraction:
+            (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+            den = qa * qb
+            a, b = (ma * pa * qb - mb * pb * qa) % den, (md * pb * qa - mc * pa * qb) % den
+        else:
+            a, b, den = _mod_one(ma * a - mb * b, "a"), _mod_one(md * b - mc * a, "b"), 1.0
+        if a == 0 and b == 0:
+            return None
+        return self.log_green(a / den, b / den)
 
     def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
         # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
@@ -365,12 +382,13 @@ class _Torus:
         # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
         # 2*x is exact, so fsum gives the bits of the sum over the points.  A lone
         # group (at most n/2 + 1 classes) on a record with no n-table goes one loop
-        # per class; any other request fills the n-table from shared rows, keyed by
-        # the int a*n + b (tuple keys held for a whole verify run raise its peak RSS).
+        # per class; any other request fills the n-table, keyed by the int a*n + b
+        # (tuple keys held for a whole verify run raise its peak RSS), from weight and
+        # phase rows shared within the request.
         if len(class_lists) == 1 and n not in self.tables and len(class_lists[0]) <= n // 2 + 1:
             return [math.fsum([w * self.log_green(a / n, b / n)
                                for (a, b), w in class_lists[0].items()])]
-        weights, phases, table = self.tables.setdefault(n, ({}, {}, {}))
+        table, weights, phases = self.tables.setdefault(n, {}), {}, {}
         sums = []
         for classes in class_lists:
             logs = []
@@ -385,9 +403,6 @@ class _Torus:
                     table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self.log_eta
                 logs.append(w * table[key])
             sums.append(math.fsum(logs))
-        if len(table) == n * n // 2 + 1 - n % 2:  # every class is in: no later call needs a row
-            weights.clear()
-            phases.clear()
         return sums
 
 

@@ -370,6 +370,21 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
         assert _torsion_product(shared, n) == torsion_product(tau, n)
 
 
+def test_a_record_keeps_only_finished_log_green_values():
+    # weight and phase rows live for one request: after each, every n-table maps
+    # the int a*n + b to the float log G(0, (a + b*red)/n), and nothing else is kept
+    torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
+    assert "tau" not in _Torus.__slots__
+    for n in (6, 4, 6, 12):
+        subs = cyclic_subgroups(n)
+        torus.log_green_sums(n, [torus.torsion_classes(n, exact_order=True)])
+        torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
+        for m, table in torus.tables.items():
+            assert all(key.__class__ is int and value.__class__ is float
+                       and value == torus.log_green(key // m / m, key % m / m)
+                       for key, value in table.items())
+
+
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
     # G(-P) = G(P): a kernel sum evaluates (points + 2-torsion points) / 2
     # shifted theta sums, and average_green_over_cyclic shares them across
