@@ -297,8 +297,9 @@ class Isogeny(_Value):
 
     `scale` carries source lattice coordinates into the normalised target
     torus C/(Z + target*Z); in particular scale*(a + b*source) lands on the
-    target lattice exactly when (a, b) is a kernel point.  Raises ValueError
-    when degree is not an int >= 1 or when scale does not give coordinate_matrix().
+    target lattice exactly when (a, b) is a kernel point.  Built directly, it
+    derives coordinate_matrix() from scale, raising ValueError when degree is not
+    an int >= 1 or scale gives none; `quotient` and `multiplication_isogeny` pass T in integers.
     """
 
     __match_args__ = ("source", "target", "degree", "scale")
@@ -335,7 +336,7 @@ class Isogeny(_Value):
 
     def coordinate_matrix(self) -> IntMatrix:
         """Integer matrix T sending source lattice coordinates to target
-        lattice coordinates, det T = degree, derived once from the scale."""
+        lattice coordinates, det T = degree, fixed when the isogeny is built."""
         return self._matrix
 
     def apply(self, point: TorusPoint) -> TorusPoint:
@@ -362,23 +363,30 @@ def _nearest_int(x: float) -> int:
     return n
 
 
+def _exact_isogeny(*fields) -> Isogeny:  # (source, target, degree, scale, T), T known in integers
+    iso = Isogeny.__new__(Isogeny)
+    for name, value in zip(Isogeny.__slots__, fields):
+        _set(iso, name, value)
+    return iso
+
+
 def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
-    """Multiplication by n as a degree-n^2 isogeny of the torus to itself."""
+    """Multiplication by n as a degree-n^2 isogeny of the torus to itself, T = n*I."""
     _check_order(n)
-    return Isogeny(source=tau, target=tau, degree=n * n, scale=complex(n))
+    return _exact_isogeny(tau, tau, n * n, complex(n), ((n, 0), (0, n)))
 
 
-def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex]:
-    # (target, scale) of the quotient by sub; see quotient.  In normal form
-    # v = h = gcd(v, n) (0 when h = n), so s = 1 and x0 = u mod n/h
+def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex, IntMatrix]:
+    # (target, scale, T) of the quotient by sub; see quotient.  In normal form
+    # v = h = gcd(v, n) (0 when h = n), so s = 1 and x0 = u mod k, k = n/h
     n, h = sub.order, sub.v or sub.order
-    x0 = sub.u % (n // h)
-    # basis of the superlattice: omega1 = 1/h, omega2 = (x0 + h*tau)/n
-    omega1 = 1.0 / h
+    x0 = sub.u % (k := n // h)
+    # superlattice basis omega1 = 1/h, omega2 = (x0 + h*tau)/n: T's columns are
+    # 1 = h*omega1 and tau = k*omega2 - x0*omega1 moved through the reduction M
     raw = complex(h * x0, 0) / n + (h * h / n) * tau.z
-    target, mat = reduce_tau(TauPoint.from_complex(raw))
-    (_, _), (mc, md) = mat
-    return target, 1.0 / (omega1 * (mc * raw + md))
+    target, ((ma, mb), (mc, md)) = reduce_tau(TauPoint.from_complex(raw))
+    t = ((h * ma, -k * mb - x0 * ma), (-h * mc, k * md + x0 * mc))
+    return target, 1.0 / ((1.0 / h) * (mc * raw + md)), t
 
 
 def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
@@ -386,7 +394,8 @@ def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
 
     The superlattice Z + tau*Z + Z*(u + v*tau)/N is put on an oriented
     two-generator basis by integer column reduction; the target is the
-    reduced tau of that basis and `scale` normalises accordingly.
+    reduced tau of that basis, `scale` normalises accordingly and T is read
+    off the reduction in integers, not derived from `scale`.
     """
-    target, scale = _quotient_target(tau, sub)
-    return Isogeny(source=tau, target=target, degree=sub.order, scale=scale)
+    target, scale, t = _quotient_target(tau, sub)
+    return _exact_isogeny(tau, target, sub.order, scale, t)

@@ -257,7 +257,10 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"theta needs a finite z, got {z!r}")
+    name = "theta'" if deriv else "theta"
     d = z.imag / tau.im
+    if math.isinf(d):  # so is log|theta|, led by pi*Im(tau)*d^2
+        raise ArithmeticError(f"|{name}| overflows a double: log|{name}| = inf")
     c = (z.real - d * tau.re) % 1.0
     n0, _, total = _shifted_sum(c, d, _series(tau, tol), deriv)
     if deriv:
@@ -269,7 +272,6 @@ def _theta(z: complex, tau: TauPoint, tol: SeriesTolerance, deriv: bool) -> comp
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):  # log|value| in real arithmetic: inf, where lead is nan
-        name = "theta'" if deriv else "theta"
         raise ArithmeticError(f"|{name}| overflows a double: "
                               f"log|{name}| = {math.log(abs(total)) - _PI * (tau.im * shift)!r}")
     return value
@@ -381,12 +383,15 @@ class _Torus:
         # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
         # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
         # 2*x is exact, so fsum gives the bits of the sum over the points.  A lone
-        # group (at most n/2 + 1 classes) on a record with no n-table goes one loop
+        # group (1 to n/2 + 1 classes) on a record with no n-table goes one loop
         # per class; any other request fills the n-table, keyed by the int a*n + b
         # (tuple keys held for a whole verify run raise its peak RSS), from weight and
         # phase rows shared within the request.
-        if len(class_lists) == 1 and n not in self.tables and len(class_lists[0]) <= n // 2 + 1:
-            return [math.fsum([w * self.log_green(a / n, b / n)
+        if (len(class_lists) == 1 and n not in self.tables
+                and 0 < len(class_lists[0]) <= n // 2 + 1):
+            series = self.series = self.series or _series(self.red, self.tol)
+            return [math.fsum([w * (_log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0,
+                                                     series) - self.log_eta)
                                for (a, b), w in class_lists[0].items()])]
         table, weights, phases = self.tables.setdefault(n, {}), {}, {}
         sums = []

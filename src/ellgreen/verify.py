@@ -278,21 +278,17 @@ def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
     ]
 
 
-def _multiples(n: int, u: int, v: int) -> frozenset[int]:  # k*(u, v) mod n, keyed a*n + b
-    return frozenset([(k * u) % n * n + (k * v) % n for k in range(n)])
-
-
-def _brute_force_subgroup_sets(n: int) -> set[frozenset[int]]:
-    # a point of a subgroup already found generates it or a smaller set
-    seen, covered = set(), set()
+def _brute_force_subgroup_sets(n: int) -> dict[int, frozenset[int]]:
+    """{a*n + b: the set k*(a, b) mod n, keyed alike} for each (a, b) of exact order n."""
+    sets, units = {}, [k for k in range(n) if math.gcd(k, n) == 1]
     for u in range(n):
         for v in range(n):
-            if u * n + v not in covered:
-                pts = _multiples(n, u, v)
-                if len(pts) == n:
-                    seen.add(pts)
-                    covered |= pts
-    return seen
+            if u * n + v not in sets and math.gcd(u, v, n) == 1:
+                keys = [(k * u) % n * n + (k * v) % n for k in range(n)]
+                pts = frozenset(keys)
+                for k in units:
+                    sets[keys[k]] = pts
+    return sets
 
 
 def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]:
@@ -300,15 +296,15 @@ def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]
     for n in range(1, count_max + 1):
         enumerated = subgroups[n]
         brute = _brute_force_subgroup_sets(n)
-        stray = 0
+        stray, matched = 0, set()
         holders = Counter()  # per order-n point key, the enumerated subgroups that hold it
-        for sub in enumerated:  # one set at a time keeps the peak low; each removes its match
-            pts = _multiples(n, sub.u, sub.v)
-            stray += pts not in brute
-            brute.discard(pts)
+        for sub in enumerated:  # a point of exact order n lies in one set, the one it generates
+            pts = brute.get(sub.u * n + sub.v, frozenset()) if sub.order == n else frozenset()
+            stray += not pts or pts in matched
+            matched.add(pts)
             if n <= contain_max:
                 holders.update(pts)
-        if len(enumerated) != cyclic_subgroup_count(n) or stray or brute:
+        if len(enumerated) != cyclic_subgroup_count(n) or stray or matched != set(brute.values()):
             mismatches += 1
         if n > contain_max:
             continue

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ellgreen.lattice import (
     CyclicSubgroup,
+    Isogeny,
     TauPoint,
     TorusPoint,
     cyclic_subgroups,
@@ -256,11 +258,13 @@ def test_cyclic_subgroups_match_brute_force(n):
 
 @pytest.mark.parametrize("n", list(range(1, 21)))
 def test_verify_brute_force_skipping_found_subgroups_loses_none(n):
-    # criterion 12's brute force skips the points of subgroups it has found;
-    # both key the point (a, b) as the int a*n + b
-    every = {frozenset((k * u) % n * n + (k * v) % n for k in range(n))
-             for u in range(n) for v in range(n)}
-    assert _brute_force_subgroup_sets(n) == {pts for pts in every if len(pts) == n}
+    # criterion 12's brute force skips the generators of subgroups it has found:
+    # it must still key every point of exact order n (the int a*n + b for (a, b))
+    # to the set that point generates, and give every order-n subgroup set
+    generated = {u * n + v: frozenset((k * u) % n * n + (k * v) % n for k in range(n))
+                 for u in range(n) for v in range(n)}
+    sets = _brute_force_subgroup_sets(n)
+    assert sets == {key: pts for key, pts in generated.items() if len(pts) == n}
 
 
 def test_cyclic_subgroup_canonical_generator_is_stable():
@@ -449,6 +453,27 @@ def test_isogeny_kernel_is_derived_from_its_matrix(tau):
             assert kernel[0].is_zero
     for n in range(1, 7):
         assert set(multiplication_isogeny(tau, n).kernel) == set(mult_by_n_kernel(n))
+
+
+def _check_exact_matrix(iso, kernel):
+    (t11, t12), (t21, t22) = t = iso.coordinate_matrix()
+    assert Isogeny(iso.source, iso.target, iso.degree, iso.scale).coordinate_matrix() == t
+    assert t11 * t22 - t12 * t21 == iso.degree
+    assert set(iso.kernel) == set(kernel)
+    assert pickle.loads(pickle.dumps(iso)) == iso
+
+
+def test_quotient_and_multiplication_matrices_equal_the_scale_derived_ones(rng):
+    # quotient and multiplication_isogeny take T in integers, not from the scale;
+    # rebuilt from its four fields, as a pickle is, each isogeny derives the same T
+    taus = [TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0)) for _ in range(3)]
+    taus += [TauPoint(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 0.8)) for _ in range(3)]
+    for tau in taus:
+        for n in range(1, 31):
+            for sub in cyclic_subgroups(n):
+                _check_exact_matrix(quotient(tau, sub), sub.points())
+        for k in range(1, 6):
+            _check_exact_matrix(multiplication_isogeny(tau, k), mult_by_n_kernel(k))
 
 
 def test_quotient_targets_satisfy_modular_polynomial(rng):

@@ -114,6 +114,14 @@ def test_theta_beyond_a_double_d_squared_is_a_named_error_not_nan(fn, log_name, 
         fn(z, TauPoint(0.21, 1.13))
 
 
+@pytest.mark.parametrize("fn,log_name", [(theta, "log|theta|"), (theta_dz, "log|theta'|")])
+@pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j])
+def test_theta_at_a_d_beyond_a_double_is_a_named_error(fn, log_name, z):
+    # d = Im z / Im tau = 2e308 itself overflows at Im tau = 0.5, and so does log|theta|
+    with pytest.raises(ArithmeticError, match=f"{re.escape(log_name)} = inf$"):
+        fn(z, TauPoint(0.0, 0.5))
+
+
 @pytest.mark.parametrize("fn", [theta, theta_dz])
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
 def test_theta_rejects_a_non_finite_z(fn, z):

@@ -9,8 +9,8 @@ import pytest
 
 import ellgreen.verify as verify
 from ellgreen.cli import main
-from ellgreen.lattice import (CyclicSubgroup, TauPoint, _quotient_target, cyclic_subgroups,
-                              reduce_tau)
+from ellgreen.lattice import (CyclicSubgroup, Isogeny, TauPoint, _quotient_target,
+                              cyclic_subgroups, reduce_tau)
 from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, _Torus, log_abs_theta_shifted
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,27 +95,33 @@ def test_full_run_shares_one_table_per_tau_and_order(count_calls):
     assert counts["cyclic_subgroups"] == 30
 
 
-def test_full_run_builds_each_quotient_torus_once(count_calls):
+def test_full_run_builds_each_quotient_torus_once(count_calls, monkeypatch):
     # criteria 3 and 5 share the 354 quotients of the three sampled tau, each
     # built and its eta product summed once: the other 100 quotients are
     # criterion 4's, and the eta products and reductions left are the other
     # criteria's
     counts = count_calls(_log_abs_eta, _quotient_target, reduce_tau, log_abs_theta_shifted)
+    checks = []  # every quotient takes T from its reduction: none is derived from a scale
+    monkeypatch.setattr(Isogeny, "__post_init__", lambda iso: checks.append(iso))
     verify.run_checks("full", 3)
+    assert checks == []
     assert counts["_log_abs_eta"] <= 671
     assert counts["_quotient_target"] <= 454
     assert counts["reduce_tau"] <= 1250
     assert counts["log_abs_theta_shifted"] <= 1760
 
 
-@pytest.mark.parametrize("tamper", ["drop", "duplicate", "foreign"])
+@pytest.mark.parametrize("tamper", ["drop", "duplicate", "foreign", "wrong_order"])
 def test_subgroup_enumeration_check_counts_a_bad_list(tamper):
     # criterion 12 matches the enumeration against the brute force one point
-    # set at a time: a missing, repeated or foreign subgroup is a mismatch
+    # set at a time: a missing, repeated, foreign or wrong-order subgroup is a
+    # mismatch; CyclicSubgroup(3, 1, 0) has the generator of CyclicSubgroup(6, 1, 0)
     subgroups = {n: cyclic_subgroups(n) for n in range(1, 9)}
     six = subgroups[6] = list(subgroups[6])
     if tamper == "drop":
         six.pop()
+    elif tamper == "wrong_order":
+        six[six.index(CyclicSubgroup(6, 1, 0))] = CyclicSubgroup(3, 1, 0)
     else:
         six[-1] = six[0] if tamper == "duplicate" else CyclicSubgroup(3, 1, 0)
     enumeration, containment = verify._check_combinatorics(subgroups, 8, 0)
