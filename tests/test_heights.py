@@ -472,7 +472,7 @@ def test_torsion_and_exact_order_classes_need_no_move(moved_classes):
     # themselves, so their classes are read off the pairs as they are
     torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
     assert torus.mat != ((1, 0), (0, 1))
-    for n in range(1, 31):
+    for n in range(1, 61):
         assert torus.torsion_classes(n) == moved_classes(torus, _torsion_pairs(n), n)
         assert (torus.torsion_classes(n, exact_order=True)
                 == moved_classes(torus, _exact_order_pairs(n), n))

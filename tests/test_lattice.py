@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 from fractions import Fraction
@@ -301,6 +302,11 @@ def test_cyclic_subgroups_are_counted_sorted_and_normal_up_to_240():
         keys = [(sub.v, sub.u) for sub in subs]
         assert keys == sorted(keys), n
         assert all(sub.v == 0 or n % sub.v == 0 for sub in subs), n
+        for sub in subs:  # each as the constructor builds it, and as it comes back
+            again = CyclicSubgroup(n, sub.u, sub.v)
+            assert sub == again and hash(sub) == hash(again), sub
+            assert all(type(x) is int for x in (sub.order, sub.u, sub.v)), sub
+            assert pickle.loads(pickle.dumps(sub)) == sub == copy.copy(sub) == copy.deepcopy(sub)
 
 
 def test_cyclic_subgroup_rejects_non_generator():
