@@ -82,6 +82,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
 def average_height_increment(n: int) -> float:
     """Predicted average height change of the order-n cyclic quotients:
     (1/2) log n minus the cyclic log-Green constant."""
+    _check_order(n)
     return 0.5 * math.log(n) - cyclic_log_green_constant(n)
 
 

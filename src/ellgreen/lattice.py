@@ -9,8 +9,10 @@ coordinates, and builds quotient tori (isogenies) from cyclic subgroups.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 Coord = Fraction | float
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -83,7 +85,8 @@ class TorusPoint(_Value):
 
     Coordinates are exact Fractions for torsion points (so equality tests
     carry no drift) or floats for generic points; integers normalise to
-    Fractions.  The zero point is exactly (0, 0).
+    Fractions, and a coordinate that is no real number (numbers.Real) or a
+    non-finite float raises ValueError.  The zero point is exactly (0, 0).
     """
 
     __slots__ = __match_args__ = ("a", "b")
@@ -128,9 +131,19 @@ def _mod_one(x: Coord, name: str) -> Coord:
         if isinstance(x, Fraction):
             # torsion points mostly arrive reduced; the test is cheaper than % 1
             return x if 0 <= x.numerator < x.denominator else x % 1
+        if not isinstance(x, numbers.Real):  # x % 1 would format a str, or raise TypeError
+            raise ValueError(f"coordinate {name} must be a real number, got {x!r}")
     x = x % 1
     # float % 1 rounds up to 1.0 for tiny negative x; 0.0 is the same class
     return 0.0 if x == 1.0 else x
+
+
+def _built(cls: type, *fields):
+    # a cls with its slots set to fields in order, skipping the constructor: for fields known valid
+    value = cls.__new__(cls)
+    for name, field in zip(cls.__slots__, fields):
+        _set(value, name, field)
+    return value
 
 
 def _check_order(n: int, name: str = "n", least: int = 1) -> None:
@@ -203,16 +216,21 @@ class CyclicSubgroup(_Value):
 
     Stored by its canonical generator (u, v)/N: the lexicographically
     smallest generator ordered by (v, u), which makes equality structural.
-    Any generator accepted; the constructor canonicalises.  That is the
-    normal form of the point (u : v) of P^1(Z/N) (Cremona, Algorithms for
-    Modular Elliptic Curves, 2.2): v becomes h = gcd(v, N), or 0 when N | v,
-    and u the least x = s*u mod N/h with gcd(x, h) = 1, where s*v = h mod N.
+    Any generator with int coordinates accepted; the constructor canonicalises.
+    That is the normal form of the point (u : v) of P^1(Z/N) (Cremona,
+    Algorithms for Modular Elliptic Curves, 2.2): v becomes h = gcd(v, N), or
+    0 when N | v, and u the least x = s*u mod N/h with gcd(x, h) = 1, where
+    s*v = h mod N.
     """
 
     __slots__ = __match_args__ = ("order", "u", "v")
 
     def __init__(self, order: int, u: int, v: int):
         _check_order(order, "subgroup order")
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise ValueError(f"generator ({u!r}, {v!r}) needs int coordinates") from None
         if gcd(gcd(u % order, v % order), order) != 1:
             raise ValueError(f"generator ({u}, {v}) does not have exact order {order}")
         _set(self, "order", order)
@@ -237,8 +255,8 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
     _check_order(n, "subgroup order")
     # one point (r : h) of P^1(Z/n) per divisor h and residue r mod n/h
     # prime to gcd(h, n/h), lifted to its normal form (r is not always prime to h)
-    subs = [CyclicSubgroup(n, *_normal_form(n, r, h)) for h in range(1, n + 1) if n % h == 0
-            for r in range(n // h) if gcd(gcd(r, h), n // h) == 1]
+    subs = [_built(CyclicSubgroup, n, *_normal_form(n, r, h)) for h in range(1, n + 1)
+            if n % h == 0 for r in range(n // h) if gcd(gcd(r, h), n // h) == 1]
     return sorted(subs, key=lambda sub: (sub.v, sub.u))
 
 
@@ -247,16 +265,6 @@ def cyclic_subgroups(n: int) -> list[CyclicSubgroup]:
 
 def _points(n: int, pairs: list[tuple[int, int]]) -> list[TorusPoint]:
     return [TorusPoint(Fraction(i, n), Fraction(j, n)) for i, j in pairs]
-
-
-def _exact_order_pairs(m: int) -> list[tuple[int, int]]:
-    _check_order(m, "order")
-    return [(a, b) for a in range(m) for b in range(m) if gcd(gcd(a, b), m) == 1]
-
-
-def _torsion_pairs(n: int) -> list[tuple[int, int]]:
-    _check_order(n)
-    return [(a, b) for a in range(n) for b in range(n)]
 
 
 def _kernel_pairs(t: IntMatrix, n: int) -> list[tuple[int, int]]:
@@ -284,12 +292,14 @@ def subgroup_points(sub: CyclicSubgroup) -> list[TorusPoint]:
 
 def exact_order_points(m: int) -> list[TorusPoint]:
     """All torsion points of exact order m: (a/m, b/m) with gcd(a, b, m) = 1."""
-    return _points(m, _exact_order_pairs(m))
+    _check_order(m, "order")
+    return _points(m, [(a, b) for a in range(m) for b in range(m) if gcd(a, b, m) == 1])
 
 
 def mult_by_n_kernel(n: int) -> list[TorusPoint]:
     """The n^2 points of the kernel of multiplication by n."""
-    return _points(n, _torsion_pairs(n))
+    _check_order(n)
+    return _points(n, [(a, b) for a in range(n) for b in range(n)])
 
 
 class Isogeny(_Value):
@@ -363,17 +373,10 @@ def _nearest_int(x: float) -> int:
     return n
 
 
-def _exact_isogeny(*fields) -> Isogeny:  # (source, target, degree, scale, T), T known in integers
-    iso = Isogeny.__new__(Isogeny)
-    for name, value in zip(Isogeny.__slots__, fields):
-        _set(iso, name, value)
-    return iso
-
-
 def multiplication_isogeny(tau: TauPoint, n: int) -> Isogeny:
     """Multiplication by n as a degree-n^2 isogeny of the torus to itself, T = n*I."""
     _check_order(n)
-    return _exact_isogeny(tau, tau, n * n, complex(n), ((n, 0), (0, n)))
+    return _built(Isogeny, tau, tau, n * n, complex(n), ((n, 0), (0, n)))
 
 
 def _quotient_target(tau: TauPoint, sub: CyclicSubgroup) -> tuple[TauPoint, complex, IntMatrix]:
@@ -398,4 +401,4 @@ def quotient(tau: TauPoint, sub: CyclicSubgroup) -> Isogeny:
     off the reduction in integers, not derived from `scale`.
     """
     target, scale, t = _quotient_target(tau, sub)
-    return _exact_isogeny(tau, target, sub.order, scale, t)
+    return _built(Isogeny, tau, target, sub.order, scale, t)

@@ -23,8 +23,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import (Coord, IntMatrix, TauPoint, TorusPoint, _Value, _exact_order_pairs,
-                      _kernel_pairs, _mod_one, _set, _torsion_pairs, reduce_tau)
+from .lattice import (Coord, IntMatrix, TauPoint, TorusPoint, _Value, _check_order, _kernel_pairs,
+                      _mod_one, _set, reduce_tau)
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -355,11 +355,15 @@ class _Torus:
 
     def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
         # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
-        # once, then k*g (k = 1..n/2) at min(k*g, -k*g), weight 2 (1 at k = n/2)
+        # once, then k*g (k = 1..n/2) as a running sum at min(k*g, -k*g), weight 2 (1 at k = n/2)
         (ma, mb), (mc, md) = self.mat
         i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
-        return {min((k * i % n, k * j % n), (-k * i % n, -k * j % n)): 1 if 2 * k == n else 2
-                for k in range(1, n // 2 + 1)}
+        classes, a, b = {}, 0, 0
+        for k in range(1, n // 2 + 1):
+            a, b = (a + i) % n, (b + j) % n
+            na, nb = -a % n, -b % n
+            classes[(a, b) if a < na or a == na and b <= nb else (na, nb)] = 1 if 2 * k == n else 2
+        return classes
 
     def kernel_classes(self, t: IntMatrix, n: int) -> dict[tuple[int, int], int]:
         # the +-P classes of T's kernel, walked from the first c1 + l*c2 (c1, c2 the
@@ -371,13 +375,19 @@ class _Torus:
             if math.gcd(i, j, n) == 1:
                 return self.walk(n, i, j)
         (ma, mb), (mc, md) = self.mat
-        return _classes(n, [((ma * i - mb * j) % n, (md * j - mc * i) % n)
-                            for i, j in _kernel_pairs(t, n)])
+        moved = [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in _kernel_pairs(t, n)]
+        return {(a, b): 1 if (a, b) == neg else 2 for a, b in moved
+                if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
 
     def torsion_classes(self, n: int, exact_order: bool = False) -> dict[tuple[int, int], int]:
-        # the +-P classes of the nonzero n-torsion, or of its points of exact order n;
-        # `mat` maps each set onto itself, so its pairs need no move
-        return _classes(n, _exact_order_pairs(n) if exact_order else _torsion_pairs(n))
+        # the +-P classes of the nonzero n-torsion, or of its points of exact order n, listed as
+        # min(P, -P): a = 0..n/2, any b where 0 < 2a < n, b = 0..n/2 where a = 0 (b >= 1) or
+        # 2a = n; weight 1 where P = -P.  `mat` maps each set onto itself: no pair moves
+        _check_order(n, "order" if exact_order else "n")
+        return {(a, b): 1 if edge and 2 * b % n == 0 else 2
+                for a in range(n // 2 + 1) for edge in (2 * a % n == 0,)
+                for b in range(a == 0, n // 2 + 1 if edge else n)
+                if not exact_order or math.gcd(a, b, n) == 1}
 
     def log_green_sums(self, n: int, class_lists: list[dict[tuple[int, int], int]]) -> list[float]:
         # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
@@ -409,13 +419,6 @@ class _Torus:
                 logs.append(w * table[key])
             sums.append(math.fsum(logs))
         return sums
-
-
-def _classes(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    # {min(P, -P): 2, or 1 where P = -P} over the nonzero pairs P mod n of a set closed
-    # under P -> -P
-    return {(a, b): 1 if (a, b) == neg else 2 for a, b in pairs
-            if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ from ellgreen.lattice import (
     Isogeny,
     TauPoint,
     TorusPoint,
-    _exact_order_pairs,
     _kernel_pairs,
-    _torsion_pairs,
     cyclic_subgroups,
     exact_order_points,
     mult_by_n_kernel,
@@ -113,6 +111,9 @@ def test_average_height_increment_values():
     for p in (3, 5, 7, 11):
         expected = (0.5 - 1.0 / (p + 1)) * math.log(p)
         assert abs(average_height_increment(p) - expected) < 1e-14
+    for n in (0, -3):  # checked before log n: no "math domain error"
+        with pytest.raises(ValueError, match=f"^n must be an int >= 1, got {n}$"):
+            average_height_increment(n)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +474,10 @@ def test_torsion_and_exact_order_classes_need_no_move(moved_classes):
     torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
     assert torus.mat != ((1, 0), (0, 1))
     for n in range(1, 61):
-        assert torus.torsion_classes(n) == moved_classes(torus, _torsion_pairs(n), n)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        assert torus.torsion_classes(n) == moved_classes(torus, pairs, n)
         assert (torus.torsion_classes(n, exact_order=True)
-                == moved_classes(torus, _exact_order_pairs(n), n))
+                == moved_classes(torus, [p for p in pairs if math.gcd(*p, n) == 1], n))
 
 
 # ---------------------------------------------------------------------------

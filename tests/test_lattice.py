@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,14 @@ def test_torus_point_coordinate_kinds_and_non_finite_floats(bad):
         TorusPoint(bad, 0.0)
     with pytest.raises(ValueError, match=f"non-finite coordinate b = {bad!r}$"):
         TorusPoint(Fraction(1, 3), bad)
+    # anything that is not a real number is named too: '%d' % 1 was the
+    # coordinate '1', None and 1j raised unrelated TypeErrors, Decimal passed
+    for other in ("%d", None, 1j, Decimal("0.25")):
+        with pytest.raises(ValueError, match=f"coordinate a must be a real number, got "
+                                             f"{re.escape(repr(other))}$"):
+            TorusPoint(other, 0.0)
+        with pytest.raises(ValueError, match="coordinate b must be a real number"):
+            TorusPoint(0, other)
 
 
 def test_torus_point_zero_and_arithmetic():
@@ -314,6 +324,12 @@ def test_cyclic_subgroup_rejects_non_generator():
         CyclicSubgroup(4, 2, 0)  # (2, 0) has order 2, not 4
     with pytest.raises(ValueError):
         CyclicSubgroup(0, 0, 0)
+    # a float or str coordinate is named, not a TypeError or a %-format error
+    for u in (1.0, "1"):
+        with pytest.raises(ValueError, match=r"generator \(.+, 0\) needs int coordinates$"):
+            CyclicSubgroup(4, u, 0)
+        with pytest.raises(ValueError, match="needs int coordinates$"):
+            CyclicSubgroup(4, 0, u)
 
 
 @pytest.mark.parametrize("n", list(range(1, 25)))
