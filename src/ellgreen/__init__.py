@@ -34,7 +34,6 @@ from .green import (
     GreenValue,
     a_invariant_adjunction_check,
     energy,
-    energy_via_a,
     green,
     green_mean_integral,
     green_pair,
@@ -77,7 +76,7 @@ __all__ = [
     "DEFAULT_TOL", "SeriesTolerance", "SurfaceInvariants",
     "delta", "eta", "invariants", "log_norm_delta", "log_norm_eta",
     "norm_theta", "theta", "theta_dz",
-    "GreenValue", "a_invariant_adjunction_check", "energy", "energy_via_a",
+    "GreenValue", "a_invariant_adjunction_check", "energy",
     "green", "green_mean_integral", "green_pair", "green_projection_check",
     "torsion_product",
     "PeriodData", "RootTriple", "WeierstrassCurve",

@@ -21,7 +21,6 @@ import sys
 
 from .green import (
     energy,
-    energy_via_a,
     green,
     torsion_product,
 )
@@ -174,12 +173,9 @@ def cmd_energy(args, tol):
     u, v, n = args.subgroup
     iso = quotient(TauPoint.from_complex(args.tau), CyclicSubgroup(n, u, v))
     product, predicted = energy(iso, tol)
-    via_a = energy_via_a(iso, tol)
     return ({"tau": _fmt(args.tau), "subgroup": f"{u},{v},{n}"},
-            {"product": product, "predicted": predicted, "predicted_via_omega_norm": via_a,
-             **_re_im(target=iso.target.z)},
-            {"product_vs_predicted": abs(product - predicted) / predicted,
-             "predicted_vs_omega_form": abs(predicted - via_a) / predicted})
+            {"product": product, "predicted": predicted, **_re_im(target=iso.target.z)},
+            {"product_vs_predicted": abs(product - predicted) / predicted})
 
 
 @command("average", "averaged log-Green / height identities", tau=_COMPLEX, n=_INT)

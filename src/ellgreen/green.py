@@ -31,7 +31,6 @@ from .modular import (
     log_norm_eta,
     _Torus,
     _exp_normal,
-    _omega_norm,
     _phase_row,
     _series,
     _weight_row,
@@ -179,15 +178,6 @@ def _energies(torus: _Torus, quotients: list[tuple[Isogeny, float]]) -> list[tup
     return [(_exp_log_green(log_product, torus, "kernel product"),
              math.sqrt(n) * math.exp(2.0 * (log_norm_target - log_norm_source)))
             for (_, log_norm_target), log_product in zip(quotients, log_products)]
-
-
-def energy_via_a(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """The same prediction through the differential-norm invariant,
-    sqrt(N) * A(source) / A(target).  Raises ArithmeticError where an omega
-    norm A leaves the doubles (reduced Im tau of source or target above ~1360)."""
-    a_src = _omega_norm(log_norm_eta(iso.source, tol))
-    a_tgt = _omega_norm(log_norm_eta(iso.target, tol))
-    return math.sqrt(iso.degree) * a_src / a_tgt
 
 
 def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL,

@@ -174,7 +174,10 @@ def faltings_height(inp: CurveHeightInput,
 
         h = (1/deg) * ( (1/12) log|N(disc)| - (1/12) sum_s log((2 pi)^12 ||delta||_s) )
 
-    The embedding sum is compensated and taken in input order.
+    One embedding with no finite part gives -log(2 pi) - 2 log||eta||(tau);
+    at j = 0 (tau = rho) that is -1.3211174284280.  Deligne's normalisation
+    adds (1/2) log(pi), giving -0.7487524855.  The embedding sum is
+    compensated and taken in input order.
     """
     terms = [
         12.0 * math.log(_TWO_PI) + log_norm_delta(tau_s, tol)

@@ -86,7 +86,7 @@ class TorusPoint(_Value):
     Coordinates are exact Fractions for torsion points (so equality tests
     carry no drift) or floats for generic points; integers normalise to
     Fractions, and a coordinate that is no real number (numbers.Real) or a
-    non-finite float raises ValueError.  The zero point is exactly (0, 0).
+    non-finite real raises ValueError.  The zero point is exactly (0, 0).
     """
 
     __slots__ = __match_args__ = ("a", "b")
@@ -133,6 +133,8 @@ def _mod_one(x: Coord, name: str) -> Coord:
             return x if 0 <= x.numerator < x.denominator else x % 1
         if not isinstance(x, numbers.Real):  # x % 1 would format a str, or raise TypeError
             raise ValueError(f"coordinate {name} must be a real number, got {x!r}")
+        if not math.isfinite(x):  # inf % 1 of another real type is nan
+            raise ValueError(f"non-finite coordinate {name} = {float(x)!r}")
     x = x % 1
     # float % 1 rounds up to 1.0 for tiny negative x; 0.0 is the same class
     return 0.0 if x == 1.0 else x

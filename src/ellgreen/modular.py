@@ -454,20 +454,7 @@ def invariants(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> SurfaceInva
     norm_delta = exp(log_norm_delta) is not a normal double (reduced Im tau
     above ~117); log_norm_delta itself stays finite there.
     """
-    return _invariants(log_norm_eta(tau, tol))
-
-
-def _invariants(log_eta: float) -> SurfaceInvariants:
+    log_eta = log_norm_eta(tau, tol)
     nd = _exp_normal(24.0 * log_eta, "norm_delta", "log_norm_delta")
-    return SurfaceInvariants(norm_eta=math.exp(log_eta), norm_delta=nd,
-                             omega_norm=_omega_norm(log_eta))
-
-
-def _omega_norm(log_eta: float) -> float:
-    # 1 / (2*pi*norm_eta^2) from log_norm_eta; its denominator leaves the
-    # normal doubles from a reduced Im tau of ~1360
-    ne = math.exp(log_eta)
-    scale = _TWO_PI * ne * ne
-    if not sys.float_info.min <= scale < math.inf:
-        raise ArithmeticError(f"omega_norm leaves the doubles: log_norm_eta = {log_eta!r}")
-    return 1.0 / scale
+    ne = math.exp(log_eta)  # a normal norm_delta keeps 2*pi*ne^2 a normal double too
+    return SurfaceInvariants(norm_eta=ne, norm_delta=nd, omega_norm=1.0 / (_TWO_PI * ne * ne))

@@ -38,8 +38,7 @@ from .lattice import (
     quotient,
     reduce_tau,
 )
-from .modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _omega_norm, delta, log_norm_eta,
-                      theta_dz)
+from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, delta, log_norm_eta, theta_dz
 from .weierstrass import (
     PeriodData,
     _cubic_roots,
@@ -132,19 +131,12 @@ def _check_torsion_products(sampled, n_max) -> list[CheckResult]:
 
 def _check_energy(sampled, quotients, n_max) -> list[CheckResult]:
     out = []
-    worst_a_form = 0.0
     for i, (torus, by_order) in enumerate(zip(sampled, quotients)):
-        a_source = _omega_norm(torus.log_norm_eta)
         worst = 0.0
         for n in range(1, n_max + 1):
-            energies = _energies(torus, by_order[n])
-            for (_, log_norm_target), (product, predicted) in zip(by_order[n], energies):
+            for product, predicted in _energies(torus, by_order[n]):
                 worst = _worse(worst, abs(product - predicted) / predicted)
-                via_a = math.sqrt(n) * a_source / _omega_norm(log_norm_target)
-                worst_a_form = _worse(worst_a_form, abs(via_a - predicted) / predicted)
         out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
-    out.append(CheckResult(3, "energy prediction matches differential-norm form",
-                           worst_a_form, 1e-12))
     return out
 
 
@@ -322,21 +314,21 @@ def _check_combinatorics(subgroups, count_max, contain_max) -> list[CheckResult]
     ]
 
 
+# log||eta|| at the CM points i and rho from Gamma values (Chowla-Selberg), no series
+_CM_LOG_NORM_ETA = (
+    (TauPoint(0.0, 1.0), math.lgamma(0.25) - math.log(2.0) - 0.75 * math.log(math.pi)),
+    (TauPoint(-0.5, math.sqrt(3.0) / 2.0), 0.25 * math.log(math.sqrt(3.0) / 2.0)
+     + math.log(3.0) / 8.0 + 1.5 * math.lgamma(1.0 / 3.0) - math.log(_TWO_PI)),
+)
+
+
 def _check_faltings(tol) -> list[CheckResult]:
-    tau = TauPoint(0.1, 1.3)
-    base = faltings_height(CurveHeightInput(1, 3.7, (tau,)), tol)
-    doubled = faltings_height(CurveHeightInput(2, 7.4, (tau, tau)), tol)
-    homo = abs(base - doubled) / max(abs(base), 1.0)
-    spot = faltings_height(CurveHeightInput(1, 0.0, (TauPoint(0.0, 1.0),)), tol)
-    tight = faltings_height(
-        CurveHeightInput(1, 0.0, (TauPoint(0.0, 1.0),)),
-        SeriesTolerance(rel_tol=1e-15, max_terms=tol.max_terms),
-    )
-    return [
-        CheckResult(13, "height formula degree homogeneity", homo, 1e-15),
-        CheckResult(13, "height at the square lattice vs tightened tolerance",
-                    abs(spot - tight), 1e-10),
-    ]
+    # one embedding, no finite part: h = -log(2*pi) - 2*log||eta||(tau)
+    worst = _worse(0.0, *(abs(faltings_height(CurveHeightInput(1, 0.0, (tau,)), tol)
+                              - (-math.log(_TWO_PI) - 2.0 * log_eta))
+                          for tau, log_eta in _CM_LOG_NORM_ETA))
+    return [CheckResult(13, "height at tau = i and rho vs Chowla-Selberg closed form",
+                        worst, 1e-12)]
 
 
 # ---------------------------------------------------------------------------

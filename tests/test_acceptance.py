@@ -21,7 +21,7 @@ CRITERIA = {
     10: "adjunction limit matches the closed-form norm, < 1e-10",
     11: "period round trip over 50 random curves, < 1e-8; AGM iters <= 30",
     12: "subgroup enumeration vs brute force (N <= 30) and containment (N <= 24)",
-    13: "height formula homogeneity (1e-15) and square-lattice spot (1e-10)",
+    13: "height at tau = i and rho vs the Chowla-Selberg closed form, < 1e-12",
 }
 
 

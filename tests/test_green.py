@@ -15,7 +15,6 @@ from ellgreen.green import (
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
     energy,
-    energy_via_a,
     green,
     green_mean_integral,
     green_pair,
@@ -376,29 +375,14 @@ def test_energies_of_one_source_equal_one_call_each(tau, moved_classes):
             assert got == (math.exp(log_product), math.sqrt(n) * math.exp(log_ratio))
 
 
-def test_energy_via_a_matches_predicted():
-    for sub in cyclic_subgroups(3):
-        iso = quotient(TauPoint(0.0, 2.0), sub)
-        _, predicted = energy(iso)
-        assert abs(energy_via_a(iso) - predicted) / predicted < 1e-12
-
-
 @pytest.mark.parametrize("im", [120.0, 200.0, 400.0, 600.0])
-def test_energy_via_a_far_in_the_cusp(im):
-    # the omega norms come from log_norm_eta, not from invariants, whose
-    # norm_delta leaves the doubles from a reduced Im tau of ~117; the targets
-    # reach Im tau 1200 and the prediction 1e-137
+def test_energy_identity_far_in_the_cusp(im):
+    # the kernel sum and the prediction both come from logs: the targets reach
+    # Im tau 1200 and the prediction 1e-137, past where invariants' norm_delta
+    # leaves the doubles (reduced Im tau ~117)
     for sub in cyclic_subgroups(2):
-        iso = quotient(TauPoint(0.1, im), sub)
-        _, predicted = energy(iso)
-        assert abs(energy_via_a(iso) - predicted) / predicted < 1e-12
-
-
-def test_energy_via_a_names_an_omega_norm_out_of_range():
-    # the target of tau -> 2 tau sits at reduced Im tau 1400, past ~1360
-    with pytest.raises(ArithmeticError, match=r"omega_norm leaves the doubles: "
-                                              r"log_norm_eta = -364\.70"):
-        energy_via_a(quotient(TauPoint(0.1, 700.0), CyclicSubgroup(2, 1, 0)))
+        product, predicted = energy(quotient(TauPoint(0.1, im), sub))
+        assert abs(product - predicted) / predicted < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ellgreen.green import (
     _torsion_product,
     a_invariant_adjunction_check,
     energy,
-    energy_via_a,
     green,
     green_mean_integral,
     green_projection_check,
@@ -499,7 +498,6 @@ PUBLIC_CALLS = {  # name: (call, reduce_tau calls, _log_abs_eta calls)
     "faltings_height": (lambda: faltings_height(CurveHeightInput(1, 0.0, (FAR_TAU,))), 1, 1),
     # the source's record, and the target's
     "energy": (lambda: energy(FAR_ISO), 2, 2),
-    "energy_via_a": (lambda: energy_via_a(FAR_ISO), 2, 2),
     "green_projection_check": (lambda: green_projection_check(
         FAR_ISO, TorusPoint(Fraction(1, 5), Fraction(2, 5)), TorusPoint(0.3, 0.2)), 2, 2),
     # the source's record, and per quotient the target's marking and log_norm_eta

@@ -1,5 +1,6 @@
 import copy
 import math
+import numbers
 import pickle
 import re
 from decimal import Decimal
@@ -74,6 +75,21 @@ def test_torus_point_float_coordinates_stay_below_one():
     assert p.is_zero
 
 
+class _OtherReal:
+    # a real number of a type that is no float, as a numpy scalar is: its inf % 1 is nan
+    def __init__(self, value: float):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+    def __mod__(self, other):
+        return _OtherReal(self.value % other)
+
+
+numbers.Real.register(_OtherReal)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_torus_point_coordinate_kinds_and_non_finite_floats(bad):
     # ints become Fractions, floats stay floats, and a non-finite float is
@@ -84,6 +100,11 @@ def test_torus_point_coordinate_kinds_and_non_finite_floats(bad):
         TorusPoint(bad, 0.0)
     with pytest.raises(ValueError, match=f"non-finite coordinate b = {bad!r}$"):
         TorusPoint(Fraction(1, 3), bad)
+    # so is a non-finite real of another type, which reduced to a nan coordinate
+    with pytest.raises(ValueError, match=f"non-finite coordinate a = {bad!r}$"):
+        TorusPoint(_OtherReal(bad), 0.0)
+    with pytest.raises(ValueError, match=f"non-finite coordinate b = {bad!r}$"):
+        TorusPoint(0, _OtherReal(bad))
     # anything that is not a real number is named too: '%d' % 1 was the
     # coordinate '1', None and 1j raised unrelated TypeErrors, Decimal passed
     for other in ("%d", None, 1j, Decimal("0.25")):

@@ -46,6 +46,17 @@ def test_a_nan_adjunction_residual_fails_criterion_10(monkeypatch):
     assert math.isnan(result.residual) and not result.passed
 
 
+def test_a_planted_eta_error_fails_the_height_check(monkeypatch):
+    # +1e-11 in the eta product moves log||eta|| by 1e-11 and the height by
+    # 2e-11 away from the Chowla-Selberg values, which need no series
+    modular = sys.modules["ellgreen.modular"]
+    exact = modular._log_eta_product
+    monkeypatch.setattr(modular, "_log_eta_product", lambda tau, tol: exact(tau, tol) + 1e-11)
+    (result,) = verify._check_faltings(DEFAULT_TOL)
+    assert result.criterion == 13 and not result.passed
+    assert 1.9e-11 < result.residual < 2.1e-11
+
+
 @pytest.mark.parametrize("level", ["quick", "full"])
 def test_verify_prints_the_same_in_a_fresh_interpreter(level, capsys):
     # the subgroup lists live for one run_checks call: two runs in this
@@ -82,7 +93,7 @@ def test_verify_json_prints_the_committed_output(capsys):
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
-    assert len(json.loads(out, parse_constant=reject)) == 36
+    assert len(json.loads(out, parse_constant=reject)) == 34
 
 
 def test_full_run_shares_one_table_per_tau_and_order(count_calls):
