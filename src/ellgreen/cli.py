@@ -261,7 +261,17 @@ def cmd_verify(args, tol) -> int:
 # driver
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The `ellgreen` parser.  Given argv, only the subcommand argv names gets its
+    flags, defaults and -h: argv's first word that is a key of COMMANDS.  The
+    others are declared bare, by name and help line, which is all the top-level
+    usage, help and error screens read, so those print the same bytes.  argparse
+    enters the subparser that its first positional word names; before that word
+    only --tol takes a value, so a command name there is a --tol value, which
+    fails as a float first: no parse enters a bare subparser.  With no argv,
+    every subparser is complete.
+    """
+    named = None if argv is None else next((word for word in argv if word in COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="ellgreen",
         description="Analytic invariants of genus-1 surfaces: normalised "
@@ -274,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit JSON instead of a table")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, flags, handler) in COMMANDS.items():
+        if argv is not None and name != named:
+            sub.add_parser(name, help=summary, add_help=False)
+            continue
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
             p.add_argument(f"--{flag}", **keywords)
@@ -282,8 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; argv defaults to sys.argv[1:].
+
+    Each call builds the parser for the subcommand argv names (see
+    build_parser) and keeps nothing between calls.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     if not (0.0 < args.tol < 1.0):
         print(f"error: --tol must lie in (0, 1), got {args.tol}", file=sys.stderr)
         return 2

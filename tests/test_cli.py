@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import ellgreen.cli as cli
 from ellgreen.cli import COMMANDS, _fmt, main, parse_complex, parse_subgroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -28,7 +30,11 @@ SUBCOMMANDS = tuple(argv[0] for argv in README_COMMANDS) + ("verify",)
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # (exit code, stdout, stderr), whether main returns or argparse exits
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -353,6 +359,73 @@ def test_missing_flag_prints_the_committed_usage(capsys, monkeypatch):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", golden("error-invariants-missing-tau.txt"))
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("no-subcommand", ()),
+    ("unknown-subcommand", ("bogus",)),
+    ("bad-tol", ("--tol", "verify", "invariants", "--tau", "0+1i")),
+])
+def test_top_level_error_prints_the_committed_usage(name, argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (2, "", golden(f"error-{name}.txt"))
+
+
+# ---------------------------------------------------------------------------
+# the parser main builds per call: complete only for the subcommand argv names
+# ---------------------------------------------------------------------------
+
+README_VERIFY = ("verify", "--level", "full", "--seed", "7")
+GREEN_LINE = README_COMMANDS[1]
+# (argv, id): a flag value that names another command, a command name as the
+# --tol value, no or no known command, stray words and help before and after
+EDGE_ARGV = (
+    (("faltings", "--input", "green"), "flag-value-names-a-command"),
+    (("energy", "--tau", "0+1i", "--subgroup", "green"), "subgroup-names-a-command"),
+    (("--tol", "verify", "invariants", "--tau", "0+1i"), "command-as-tol"),
+    (("--tol", "1e-9", "invariants", "--tau", "0+1i"), "tol-then-command"),
+    ((), "no-words"),
+    (("bogus",), "unknown-command"),
+    (("--bogus", *GREEN_LINE), "unknown-flag-first"),
+    ((*GREEN_LINE, "extra"), "trailing-word"),
+    (("-h", "green"), "top-level-help"),
+    (("green", "--help"), "command-help"),
+)
+EQUIVALENCE_ARGV = (
+    *[(prefix + argv, f"{'json-' if prefix else ''}{argv[0]}")
+      for argv in (*README_COMMANDS, README_VERIFY) for prefix in ((), ("--json",))],
+    *EDGE_ARGV,
+)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in EQUIVALENCE_ARGV],
+                         ids=[name for _, name in EQUIVALENCE_ARGV])
+def test_per_call_parser_prints_what_the_complete_parser_prints(argv, tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # "green" names no file
+    if argv and argv[-1] is None:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(README_FALTINGS_INPUT))
+        argv = (*argv[:-1], str(path))
+    per_call = run_cli(capsys, *argv)
+    complete = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: complete())
+    assert per_call == run_cli(capsys, *argv)
+
+
+def test_one_call_declares_only_the_named_subcommands_flags(capsys, monkeypatch):
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *names, **keywords):
+        declared.append(names)
+        return add_argument(self, *names, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert main(list(GREEN_LINE)) == 0
+    assert sorted(declared) == [("--json",), ("--tau",), ("--tol",), ("--z",),
+                                ("-h", "--help"), ("-h", "--help")]
 
 
 def test_readme_cli_block_names_each_subcommand_once():

@@ -424,8 +424,8 @@ def _projection_by_green(iso, w, z):
 
 def test_projection_check_equals_the_per_point_green_formula(rng):
     # 50 seeded instances, a third at an unreduced source, every fourth with a
-    # float w and every fifth with an exact z: the one-reduction fiber sum
-    # rounds as green() does
+    # float w and two in five with an exact z (denominators up to 2**40 + 15):
+    # the one-reduction fiber sum rounds as green() does
     for k in range(50):
         tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.0))
         if k % 3 == 0:
@@ -437,8 +437,9 @@ def test_projection_check_equals_the_per_point_green_formula(rng):
         w = TorusPoint(Fraction(rng.randrange(den), den), Fraction(rng.randrange(den), den))
         if k % 4 == 0:
             w = TorusPoint(rng.random(), rng.random())
-        if k % 5 == 0:
-            z = TorusPoint(Fraction(rng.randrange(1, 97), 97), Fraction(rng.randrange(1, 97), 97))
+        if k % 5 < 2:
+            den_z = rng.choice([5, 6, 10, 97, 2 ** 40 + 15])
+            z = TorusPoint(*(Fraction(rng.randrange(1, den_z), den_z) for _ in "ab"))
         else:
             z = TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         assert green_projection_check(iso, w, z) == _projection_by_green(iso, w, z)
