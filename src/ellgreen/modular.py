@@ -19,7 +19,6 @@ import cmath
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesConvergenceError
@@ -146,17 +145,11 @@ _WeightRow = tuple[int, float, list[complex]]  # (n0, -pi*Im(tau)*m0^2, weights)
 _Series = tuple[int, complex, complex, float]  # (K, pi*i*tau, q, -pi*Im(tau)) from _series
 
 
-@lru_cache(maxsize=256)
-def gaussian_half_width(tau_im: float, rel_tol: float) -> int:
-    """Half-width K of the index window needed by the shifted theta sum:
-    exp(-pi * Im(tau) * K^2) < rel_tol."""
-    return math.ceil(math.sqrt(max(math.log(1.0 / rel_tol), 1.0) / (_PI * tau_im))) + 1
-
-
 def _series(tau: TauPoint, tol: SeriesTolerance) -> _Series:
     # (K checked against max_terms, t = pi*i*tau, q = e^(2t), -pi*Im tau): the
-    # constants every weight row, phase row and one-point sum of tau shares
-    half = gaussian_half_width(tau.im, tol.rel_tol)
+    # constants every weight row, phase row and one-point sum of tau shares;
+    # the half-width K of the index window has exp(-pi * Im(tau) * K^2) < rel_tol
+    half = math.ceil(math.sqrt(max(math.log(1.0 / tol.rel_tol), 1.0) / (_PI * tau.im))) + 1
     if 2 * half + 2 > tol.max_terms:
         raise SeriesConvergenceError(f"shifted theta sum needs {2 * half + 2} terms > max_terms="
                                      f"{tol.max_terms} (Im tau = {tau.im}; reduce tau first)")

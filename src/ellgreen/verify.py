@@ -77,10 +77,9 @@ class CheckResult(_Value):
                 f"residual={self.residual:.6e} tol={self.tolerance:.1e}")
 
 
-def sample_reduced_taus(rng: random.Random, count: int,
-                        im_max: float = 2.2) -> list[TauPoint]:
+def sample_reduced_taus(rng: random.Random, count: int) -> list[TauPoint]:
     """Deterministically sample points of the fundamental domain interior."""
-    return [TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, im_max)) for _ in range(count)]
+    return [TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.2)) for _ in range(count)]
 
 
 def _tau_grid(side: int, im_max: float) -> list[TauPoint]:

@@ -174,7 +174,7 @@ def half_period_roots(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Root
 
 
 def _cubic_roots(curve: WeierstrassCurve) -> list[complex]:
-    """Roots of 4x^3 - p*x - q by Cardano's formula and two Newton steps each.
+    """Roots of 4x^3 - p*x - q by Cardano's formula and up to two Newton steps each.
 
     The curve is first rescaled by x = s*y with s = 2^round(log2 max(|p|^(1/2),
     |q|^(1/3))), which is exact and leaves y^3 + a*y + b = 0 with |a|, |b| of
@@ -191,7 +191,9 @@ def _cubic_roots(curve: WeierstrassCurve) -> list[complex]:
     for uk in (u, u * _OMEGA, u * _OMEGA.conjugate()):
         y = uk - a / (3.0 * uk)
         for _ in range(2):
-            y -= (y ** 3 + a * y + b) / (3.0 * y * y + a)
+            slope = 3.0 * y * y + a
+            if slope:  # 0 at a root double to working precision: keep Cardano's
+                y -= (y ** 3 + a * y + b) / slope
         roots.append(s * y)
     return roots
 
@@ -208,15 +210,22 @@ def _root_differences(a1: complex, a2: complex, a3: complex,
     precision.
 
     A cubic solver resolves a nearly degenerate pair only to about sqrt(eps),
-    so only the isolated root r, the one of largest |f'(r)| = |12 r^2 - p|,
-    is used.  Since f'(r) = 4 (r-x)(r-y) and disc = 16 ((r-x)(r-y)(x-y))^2,
-    the other two roots differ by d = sqrt(disc) / f'(r), its sign matched to
-    the solver's x - y; they are -r/2 +- d/2, so r - x = 3r/2 - d/2 and
-    r - y = 3r/2 + d/2.
+    so only the isolated root r, the one of largest |f'(r)| = |12 r^2 - p|
+    among the values that solve the cubic, is used.  Since f'(r) =
+    4 (r-x)(r-y) and disc = 16 ((r-x)(r-y)(x-y))^2, the other two roots
+    differ by d = sqrt(disc) / f'(r), its sign matched to the solver's x - y;
+    they are -r/2 +- d/2, so r - x = 3r/2 - d/2 and r - y = 3r/2 + d/2.
     """
     roots = (a1, a2, a3)
-    slopes = [12.0 * x * x - curve.p for x in roots]
-    i = max(range(3), key=lambda m: abs(slopes[m]))
+    p, q = curve.p, curve.q
+    slopes = [12.0 * x * x - p for x in roots]
+    # a root leaves a residual of a few ulps of its terms, but a Newton step
+    # from a slope of rounding size can throw a value of a double root off
+    # the cubic: such a value is never taken as r
+    is_root = [abs(4.0 * x * x * x - p * x - q)
+               <= 1e-8 * (4.0 * abs(x) * abs(x) * abs(x) + abs(p) * abs(x) + abs(q))
+               for x in roots]
+    i = max(range(3), key=lambda m: (is_root[m], abs(slopes[m])))
     j, k = (m for m in range(3) if m != i)
     r = roots[i]
     d = cmath.sqrt(curve.discriminant) / slopes[i]
@@ -330,52 +339,43 @@ def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_T
                        ) -> PeriodData:
     """Recover an oriented period basis of a curve by the optimal AGM.
 
-    With roots ordered (a1, a2, a3), omega1 = pi / AGM(sqrt(a1-a3), sqrt(a1-a2))
-    and omega2 = i*pi / AGM(sqrt(a1-a3), sqrt(a2-a3)), the root differences
-    taken from the isolated root and the discriminant (`_root_differences`).
-    Each candidate root ordering is validated by a round trip through the
-    Eisenstein series of the reduced period ratio; the basis of the first
-    ordering reproducing (p, q) is returned as the AGM gives it.
+    With the solver's roots (a1, a2, a3), omega1 = pi / AGM(sqrt(a1-a3),
+    sqrt(a1-a2)) and omega2 = i*pi / AGM(sqrt(a1-a3), sqrt(a2-a3)), the root
+    differences taken from the isolated root and the discriminant
+    (`_root_differences`) and each square root aligned with sqrt(a1-a3).
+    One labelling of the roots suffices (Cremona-Thongjunthug, J. Number
+    Theory 133, 2013): every labelling gives a basis of the period lattice,
+    up to the sign of omega2, which is flipped into the upper half-plane.
+    The one acceptance gate is a round trip through the Eisenstein series of
+    the reduced period ratio; ArithmeticError where that misses (p, q) by a
+    relative 1e-6, where the ratio is real, or where the AGM fails.
     """
-    if curve.discriminant == 0:
-        raise ValueError("degenerate curve: zero discriminant")
-    roots = _cubic_roots(curve)
-    last_residual = math.inf
-    for perm in permutations(range(3)):
-        d12, d13, d23 = _root_differences(*(roots[k] for k in perm), curve)
-        scale = max(abs(d12), abs(d13), abs(d23))
-        sa = cmath.sqrt(d13)
-        sb = cmath.sqrt(d12)
-        sc = cmath.sqrt(d23)
-        if (sb / sa).real < 0:
-            sb = -sb
-        if (sc / sa).real < 0:
-            sc = -sc
-        try:
-            m1, _ = optimal_agm(sa, sb)
-            m2, _ = optimal_agm(sa, sc)
-        except ArithmeticError:
-            continue
-        omega1 = _PI / m1
-        omega2 = 1j * _PI / m2
-        ratio = omega2 / omega1
-        if ratio.imag == 0.0:
-            continue
-        if ratio.imag < 0.0:
-            omega2 = -omega2
-            ratio = -ratio
-        tau = TauPoint.from_complex(ratio)
-        red, (_, (mc, md)) = reduce_tau(tau)
-        omega1_eff = omega1 * (mc * ratio + md)
-        ref = eisenstein(red, tol)
-        residual = (
-            abs(ref.p / omega1_eff ** 4 - curve.p) / scale ** 2
-            + abs(ref.q / omega1_eff ** 6 - curve.q) / scale ** 3
-        )
-        if residual < 1e-6:
-            return PeriodData(omega1, omega2, tau)
-        last_residual = min(last_residual, residual)
-    raise ArithmeticError(
-        f"period recovery failed for every root ordering "
-        f"(best residual {last_residual:.3e})"
+    d12, d13, d23 = _root_differences(*_cubic_roots(curve), curve)
+    scale = max(abs(d12), abs(d13), abs(d23))
+    sa = cmath.sqrt(d13)
+    sb = cmath.sqrt(d12)
+    sc = cmath.sqrt(d23)
+    if (sb / sa).real < 0:
+        sb = -sb
+    if (sc / sa).real < 0:
+        sc = -sc
+    omega1 = _PI / optimal_agm(sa, sb)[0]
+    omega2 = 1j * _PI / optimal_agm(sa, sc)[0]
+    ratio = omega2 / omega1
+    if ratio.imag == 0.0:
+        raise ArithmeticError(f"period recovery failed: real period ratio {ratio!r}")
+    if ratio.imag < 0.0:
+        omega2 = -omega2
+        ratio = -ratio
+    tau = TauPoint.from_complex(ratio)
+    red, (_, (mc, md)) = reduce_tau(tau)
+    omega1_eff = omega1 * (mc * ratio + md)
+    ref = eisenstein(red, tol)
+    residual = (
+        abs(ref.p / omega1_eff ** 4 - curve.p) / scale ** 2
+        + abs(ref.q / omega1_eff ** 6 - curve.q) / scale ** 3
     )
+    if residual < 1e-6:
+        return PeriodData(omega1, omega2, tau)
+    raise ArithmeticError(f"period recovery failed: Eisenstein round-trip residual "
+                          f"{residual:.3e} >= 1e-6")

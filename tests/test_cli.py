@@ -116,6 +116,12 @@ def test_overflowing_literal_is_a_usage_error(argv, flag, capsys):
     assert f"argument {flag}: complex number '1e999" in capsys.readouterr().err
 
 
+def test_malformed_subgroup_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "energy", "--tau", "0+1i", "--subgroup", "1,x,2")
+    assert code == 2 and out == ""
+    assert "argument --subgroup" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants"])  # missing --tau
@@ -199,6 +205,14 @@ def test_faltings_command(tmp_path, capsys):
 def test_faltings_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "faltings", "--input", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_faltings_missing_field_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"log_norm_min_disc": 0.0, "embeddings": [{"re": 0.0, "im": 1.0}]}))
+    code, out, err = run_cli(capsys, "faltings", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "faltings input missing field: 'degree'" in err
 
 
 def test_faltings_malformed_json(tmp_path, capsys):

@@ -223,15 +223,15 @@ def mp_log_green(tau, a, b):
     """log G(0, a + b*tau) in 30-digit arithmetic, tau reduced: the theta sum
     taken directly over a window around its dominant index, log|eta| from
     the q-product."""
-    mp.mp.dps = 30
-    t = mp.mpc(tau.re, tau.im)
-    w = mp.mpf(a) + mp.mpf(b) * t + (1 + t) / 2
-    centre = int(mp.nint(-w.imag / t.imag))
-    half = math.ceil(math.sqrt(100.0 / (math.pi * tau.im))) + 2
-    total = mp.fsum(mp.exp(1j * mp.pi * n * n * t + 2j * mp.pi * n * w)
-                    for n in range(centre - half, centre + half + 1))
-    log_eta = -mp.pi * t.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * t))))
-    return float(-mp.pi * w.imag ** 2 / t.imag + mp.log(abs(total)) - log_eta)
+    with mp.workdps(30):
+        t = mp.mpc(tau.re, tau.im)
+        w = mp.mpf(a) + mp.mpf(b) * t + (1 + t) / 2
+        centre = int(mp.nint(-w.imag / t.imag))
+        half = math.ceil(math.sqrt(100.0 / (math.pi * tau.im))) + 2
+        total = mp.fsum(mp.exp(1j * mp.pi * n * n * t + 2j * mp.pi * n * w)
+                        for n in range(centre - half, centre + half + 1))
+        log_eta = -mp.pi * t.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * t))))
+        return float(-mp.pi * w.imag ** 2 / t.imag + mp.log(abs(total)) - log_eta)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 12])
@@ -574,17 +574,17 @@ def test_green_against_mpmath(rng):
     # assemble the defining formula in 30-digit arithmetic as an oracle
     import mpmath as mp
 
-    mp.mp.dps = 30
-    for _ in range(10):
-        tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 3.0))
-        a, b = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-        t = mp.mpc(tau.z)
-        z = a + b * t + (1 + t) / 2
-        norm_theta = (mp.im(t) ** mp.mpf(0.25)
-                      * mp.exp(-mp.pi * mp.im(z) ** 2 / mp.im(t))
-                      * abs(mp.jtheta(3, mp.pi * z, mp.exp(1j * mp.pi * t))))
-        q = mp.exp(2j * mp.pi * t)
-        norm_eta = mp.im(t) ** mp.mpf(0.25) * abs(mp.exp(2j * mp.pi * t / 24) * mp.qp(q))
-        ref = float(norm_theta / norm_eta)
-        ours = green(tau, TorusPoint(a, b)).value
-        assert abs(ours - ref) / ref < 1e-11
+    with mp.workdps(30):
+        for _ in range(10):
+            tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 3.0))
+            a, b = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+            t = mp.mpc(tau.z)
+            z = a + b * t + (1 + t) / 2
+            norm_theta = (mp.im(t) ** mp.mpf(0.25)
+                          * mp.exp(-mp.pi * mp.im(z) ** 2 / mp.im(t))
+                          * abs(mp.jtheta(3, mp.pi * z, mp.exp(1j * mp.pi * t))))
+            q = mp.exp(2j * mp.pi * t)
+            norm_eta = mp.im(t) ** mp.mpf(0.25) * abs(mp.exp(2j * mp.pi * t / 24) * mp.qp(q))
+            ref = float(norm_theta / norm_eta)
+            ours = green(tau, TorusPoint(a, b)).value
+            assert abs(ours - ref) / ref < 1e-11

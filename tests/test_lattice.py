@@ -525,8 +525,6 @@ def test_quotient_targets_satisfy_modular_polynomial(rng):
     # with mpmath, so the whole check is external to this package
     import mpmath as mp
 
-    mp.mp.dps = 30
-
     def phi2(x, y):
         return (x ** 3 + y ** 3 - x ** 2 * y ** 2
                 + 1488 * (x ** 2 * y + x * y ** 2)
@@ -535,11 +533,12 @@ def test_quotient_targets_satisfy_modular_polynomial(rng):
                 + 8748000000 * (x + y)
                 - 157464000000000)
 
-    for _ in range(4):
-        tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(0.95, 2.2))
-        for sub in cyclic_subgroups(2):
-            iso = quotient(tau, sub)
-            j1 = mp.mpc(1728) * mp.kleinj(mp.mpc(tau.z))
-            j2 = mp.mpc(1728) * mp.kleinj(mp.mpc(iso.target.z))
-            scale = max(abs(j1), abs(j2), mp.mpf(1)) ** 3
-            assert abs(phi2(j1, j2)) / scale < 1e-10
+    with mp.workdps(30):
+        for _ in range(4):
+            tau = TauPoint(rng.uniform(-0.45, 0.45), rng.uniform(0.95, 2.2))
+            for sub in cyclic_subgroups(2):
+                iso = quotient(tau, sub)
+                j1 = mp.mpc(1728) * mp.kleinj(mp.mpc(tau.z))
+                j2 = mp.mpc(1728) * mp.kleinj(mp.mpc(iso.target.z))
+                scale = max(abs(j1), abs(j2), mp.mpf(1)) ** 3
+                assert abs(phi2(j1, j2)) / scale < 1e-10

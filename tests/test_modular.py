@@ -31,7 +31,7 @@ from ellgreen.modular import (
     theta,
     theta_dz,
 )
-from ellgreen.weierstrass import two_torsion_green_check
+from ellgreen.weierstrass import eisenstein, two_torsion_green_check
 
 TAU = TauPoint(0.13, 1.32)
 PI = math.pi
@@ -76,26 +76,26 @@ def test_theta_quasi_periodic_in_tau():
 
 def test_theta_against_mpmath():
     # jtheta(3, pi*z, exp(pi*i*tau)) is the same series
-    mp.mp.dps = 30
-    for z in (0.0, 0.37 + 0.41j, -1.2 + 2.7j):
-        ours = theta(z, TAU)
-        ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z), mp.exp(1j * mp.pi * mp.mpc(TAU.z))))
-        assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-12
+    with mp.workdps(30):
+        for z in (0.0, 0.37 + 0.41j, -1.2 + 2.7j):
+            ours = theta(z, TAU)
+            ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z), mp.exp(1j * mp.pi * mp.mpc(TAU.z))))
+            assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("tau", [TAU, TauPoint(-0.4, 0.9), TauPoint(0.3, 2.7)])
 def test_theta_and_derivative_against_mpmath_outside_the_cell(tau):
     # z = c + d*tau with |d| up to 5 and c off [0, 1): theta and theta' must
     # carry the quasi-periodicity factor exp(-pi*i*tau*d^2) exactly
-    mp.mp.dps = 30
-    nome = mp.exp(1j * mp.pi * mp.mpc(tau.z))
-    for c, d in ((-2.3, -5.0), (0.7, -3.7), (3.1, 2.4), (-0.45, 5.0), (1.5, 0.3)):
-        z = c + d * tau.z
-        w = mp.pi * mp.mpc(z)
-        ref = complex(mp.jtheta(3, w, nome))
-        ref_dz = complex(mp.pi * mp.jtheta(3, w, nome, 1))
-        assert abs(theta(z, tau) - ref) / abs(ref) < 1e-12
-        assert abs(theta_dz(z, tau) - ref_dz) / abs(ref_dz) < 1e-12
+    with mp.workdps(30):
+        nome = mp.exp(1j * mp.pi * mp.mpc(tau.z))
+        for c, d in ((-2.3, -5.0), (0.7, -3.7), (3.1, 2.4), (-0.45, 5.0), (1.5, 0.3)):
+            z = c + d * tau.z
+            w = mp.pi * mp.mpc(z)
+            ref = complex(mp.jtheta(3, w, nome))
+            ref_dz = complex(mp.pi * mp.jtheta(3, w, nome, 1))
+            assert abs(theta(z, tau) - ref) / abs(ref) < 1e-12
+            assert abs(theta_dz(z, tau) - ref_dz) / abs(ref_dz) < 1e-12
 
 
 @pytest.mark.parametrize("fn,log_name", [(theta, "log|theta|"), (theta_dz, "log|theta'|")])
@@ -132,6 +132,13 @@ def test_theta_rejects_a_non_finite_z(fn, z):
 def test_theta_rejects_tiny_imaginary_part():
     with pytest.raises(SeriesConvergenceError):
         theta(0.3, TauPoint(0.0, 1e-6), SeriesTolerance(max_terms=64))
+
+
+@pytest.mark.parametrize("fn,tau", [(eta, TauPoint(0.0, 0.01)), (eisenstein, TauPoint(0.0, 0.05))],
+                         ids=["eta", "eisenstein"])
+def test_a_series_past_its_term_budget_is_a_named_error(fn, tau):
+    with pytest.raises(SeriesConvergenceError, match="within 8"):
+        fn(tau, SeriesTolerance(1e-12, 8))
 
 
 def test_theta_dz_vanishes_at_origin():
@@ -196,9 +203,9 @@ def test_eta_24th_power_is_delta(sample_taus):
 
 
 def test_eta_against_mpmath():
-    mp.mp.dps = 30
-    ref = complex(mp.sqrt(mp.gamma(0.25) / (2 * mp.pi ** 0.75)) ** 2)
-    assert abs(eta(TauPoint(0.0, 1.0)) - ref) < 1e-12
+    with mp.workdps(30):
+        ref = complex(mp.sqrt(mp.gamma(0.25) / (2 * mp.pi ** 0.75)) ** 2)
+        assert abs(eta(TauPoint(0.0, 1.0)) - ref) < 1e-12
 
 
 def test_norm_eta_inversion_invariance_direct_series():
@@ -219,21 +226,21 @@ def test_delta_translation_invariance():
 def test_eta_chain_against_mpmath_product():
     # eta, delta and both log norms share one product; mpmath's q-Pochhammer
     # (q; q)_inf at 30 digits is the independent reference for all four
-    mp.mp.dps = 30
-    rng = random.Random(11)
-    for _ in range(60):
-        tau = TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2.5))
-        if abs(tau.z) < 1.0:
-            continue
-        t = mp.mpc(tau.re, tau.im)
-        q = mp.exp(2j * mp.pi * t)
-        ref_eta = mp.exp(2j * mp.pi * t / 24) * mp.qp(q)
-        ref_delta = q * mp.qp(q) ** 24
-        ref_log = mp.log(tau.im) / 4 + mp.log(abs(ref_eta))
-        assert abs(eta(tau) - ref_eta) / abs(ref_eta) < 1e-13
-        assert abs(delta(tau) - ref_delta) / abs(ref_delta) < 2e-12
-        assert abs(log_norm_eta(tau) - ref_log) < 1e-13
-        assert abs(log_norm_delta(tau) - 24 * ref_log) < 3e-12
+    with mp.workdps(30):
+        rng = random.Random(11)
+        for _ in range(60):
+            tau = TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2.5))
+            if abs(tau.z) < 1.0:
+                continue
+            t = mp.mpc(tau.re, tau.im)
+            q = mp.exp(2j * mp.pi * t)
+            ref_eta = mp.exp(2j * mp.pi * t / 24) * mp.qp(q)
+            ref_delta = q * mp.qp(q) ** 24
+            ref_log = mp.log(tau.im) / 4 + mp.log(abs(ref_eta))
+            assert abs(eta(tau) - ref_eta) / abs(ref_eta) < 1e-13
+            assert abs(delta(tau) - ref_delta) / abs(ref_delta) < 2e-12
+            assert abs(log_norm_eta(tau) - ref_log) < 1e-13
+            assert abs(log_norm_delta(tau) - 24 * ref_log) < 3e-12
 
 
 def test_truncation_is_tight():

@@ -19,6 +19,11 @@ CLI = "import sys; from ellgreen.cli import main; sys.exit(main(sys.argv[1:]))"
 TAUS = [TauPoint(0.1, 1.2), TauPoint(-0.3, 1.4), TauPoint(0.2, 1.9)]
 
 
+def test_an_unknown_level_is_a_value_error():
+    with pytest.raises(ValueError, match="level must be 'quick' or 'full', got 'medium'"):
+        verify.run_checks("medium")
+
+
 def test_worse_keeps_the_largest_residual_and_any_nan():
     assert verify._worse(0.0, 2.0, 1.0) == 2.0
     assert verify._worse(0.0) == 0.0

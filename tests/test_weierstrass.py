@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -294,13 +295,13 @@ def test_agm_iterations_bounded(rng):
 def test_j_invariant_against_mpmath(rng):
     import mpmath as mp
 
-    mp.mp.dps = 30
-    for _ in range(20):
-        tau = TauPoint(rng.uniform(-0.49, 0.49), rng.uniform(0.87, 6.0))
-        curve = eisenstein(tau)
-        ours = 1728.0 * curve.p ** 3 / curve.discriminant / 1728.0
-        ref = complex(mp.kleinj(mp.mpc(tau.z)))
-        assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-11
+    with mp.workdps(30):
+        for _ in range(20):
+            tau = TauPoint(rng.uniform(-0.49, 0.49), rng.uniform(0.87, 6.0))
+            curve = eisenstein(tau)
+            ours = 1728.0 * curve.p ** 3 / curve.discriminant / 1728.0
+            ref = complex(mp.kleinj(mp.mpc(tau.z)))
+            assert abs(ours - ref) / max(abs(ref), 1.0) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +366,63 @@ def test_periods_from_curve_makes_one_eisenstein_call(monkeypatch):
                         lambda *args: calls.append(args) or eisenstein(*args))
     periods_from_curve(curve)
     assert len(calls) == 1
+
+
+def _scaled_eisenstein(tau, lam):
+    # the curve of the lattice lam^-1 (Z + tau*Z), its discriminant carried
+    curve = eisenstein(tau)
+    return WeierstrassCurve(lam ** 4 * curve.p, lam ** 6 * curve.q, lam ** 12 * curve.disc)
+
+
+def test_periods_recover_seeded_scaled_eisenstein_curves(rng):
+    # one root ordering serves every curve: the reduced period ratio is the
+    # lattice's, to rounding, far into the cusp and at any complex scale
+    flips = [0, 0]
+    for _ in range(2000):
+        tau = TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 12.0))
+        lam = cmath.exp(cmath.rect(5.0 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)))
+        curve = _scaled_eisenstein(tau, lam)
+        red, _ = reduce_tau(periods_from_curve(curve).tau)
+        assert abs(red.z - reduce_tau(tau)[0].z) < 1e-12
+        d12, d13, d23 = _root_differences(*_cubic_roots(curve), curve)
+        sa = cmath.sqrt(d13)
+        flips[0] += (cmath.sqrt(d12) / sa).real < 0
+        flips[1] += (cmath.sqrt(d23) / sa).real < 0
+    # the sample takes both sign alignments of the square roots
+    assert min(flips) > 0
+
+
+def _gauss_at_scale(rng, real):
+    z = complex(rng.gauss(0.0, 1.0), 0.0 if real else rng.gauss(0.0, 1.0))
+    return z * 10.0 ** rng.uniform(-8.0, 8.0)
+
+
+def test_periods_of_seeded_curves_are_values_or_typed_errors(rng):
+    # complex and real (p, q) over 1e+-8: a basis, or an ArithmeticError or
+    # ValueError, never another exception
+    for k in range(2000):
+        p, q = _gauss_at_scale(rng, k % 2), _gauss_at_scale(rng, k % 2)
+        try:
+            assert isinstance(periods_from_curve(WeierstrassCurve(p, q)), PeriodData)
+        except (ArithmeticError, ValueError):
+            pass
+
+
+@pytest.mark.parametrize("tau,lam,p,q", [
+    # a Cardano root double to working precision: a Newton slope of exactly 0
+    # raised ZeroDivisionError ...
+    (TauPoint(0.41184544979782567, 10.890091552486505),
+     -0.03535439131416753 + 0.10137573927624288j, None, None),
+    (None, None, 6.498082466388704e-05 - 1.6864398345286674e-05j,
+     -9.827249926825638e-08 + 3.935274122249193e-08j),
+    # ... and one of rounding size threw the root off the cubic, to be taken
+    # as the isolated root: ArithmeticError
+    (TauPoint(-0.4158594297747997, 7.934319868394492),
+     -50.57015339852636 - 14.66749555942425j, None, None),
+], ids=["zero-slope-scaled", "zero-slope", "rounding-slope-scaled"])
+def test_periods_at_a_root_double_to_working_precision(tau, lam, p, q):
+    curve = _scaled_eisenstein(tau, lam) if tau else WeierstrassCurve(p, q)
+    red, _ = reduce_tau(periods_from_curve(curve).tau)
+    ref = eisenstein(red)
+    j = curve.p ** 3 / curve.disc
+    assert abs(ref.p ** 3 / ref.disc - j) < 1e-11 * abs(j)
