@@ -8,12 +8,14 @@ agree digit for digit.  Exit codes: 0 success, 1 verification failure,
 Each subcommand is declared once, by `@command` over its handler, which
 returns the record's (inputs, results, residuals); `verify` prints its own
 report and returns the exit code.  Handlers reach the library through this
-module's globals, looked up at call time.
+module's globals, looked up at call time.  The parser is built on the first
+`main` call and reused by later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -261,17 +263,10 @@ def cmd_verify(args, tol) -> int:
 # driver
 # ---------------------------------------------------------------------------
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The `ellgreen` parser.  Given argv, only the subcommand argv names gets its
-    flags, defaults and -h: argv's first word that is a key of COMMANDS.  The
-    others are declared bare, by name and help line, which is all the top-level
-    usage, help and error screens read, so those print the same bytes.  argparse
-    enters the subparser that its first positional word names; before that word
-    only --tol takes a value, so a command name there is a --tol value, which
-    fails as a float first: no parse enters a bare subparser.  With no argv,
-    every subparser is complete.
-    """
-    named = None if argv is None else next((word for word in argv if word in COMMANDS), None)
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `ellgreen` parser, built on the first call; later calls, main's among
+    them, get the same object, so a caller that changes it changes main."""
     parser = argparse.ArgumentParser(
         prog="ellgreen",
         description="Analytic invariants of genus-1 surfaces: normalised "
@@ -284,9 +279,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                         help="emit JSON instead of a table")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, flags, handler) in COMMANDS.items():
-        if argv is not None and name != named:
-            sub.add_parser(name, help=summary, add_help=False)
-            continue
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
             p.add_argument(f"--{flag}", **keywords)
@@ -295,14 +287,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; argv defaults to sys.argv[1:].
-
-    Each call builds the parser for the subcommand argv names (see
-    build_parser) and keeps nothing between calls.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    """Run one command; argv defaults to sys.argv[1:].  The parser is built on
+    the first call and reused by later calls in the same process."""
+    args = build_parser().parse_args(argv)
     if not (0.0 < args.tol < 1.0):
         print(f"error: --tol must lie in (0, 1), got {args.tol}", file=sys.stderr)
         return 2

@@ -31,8 +31,8 @@ class WeierstrassCurve(_Value):
 
     Raises ValueError for a non-finite p, q or `disc`, p = q = 0, a zero
     discriminant, or a `disc` off p^3 - 27q^2 by over 1e-10 (|p|^3 + 27|q|^2),
-    far above that difference's rounding (not compared where p^3 or q^2 leaves
-    the doubles); ArithmeticError where p^3 - 27q^2 is needed but leaves them.
+    far above that difference's rounding; ArithmeticError where p^3 - 27q^2 is
+    needed but leaves the doubles.
     """
 
     __slots__ = __match_args__ = ("p", "q", "disc")
@@ -42,19 +42,21 @@ class WeierstrassCurve(_Value):
         disc = None if disc is None else _finite_complex("disc", disc)
         if p == 0 and q == 0:
             raise ValueError("degenerate curve: p = q = 0")
-        # products and hypot, not ** and abs, which raise OverflowError
-        p3, q2 = p * p * p, q * q
-        direct = p3 - 27.0 * q2
         if disc is None:
-            if not cmath.isfinite(direct):
+            disc = p * p * p - 27.0 * (q * q)  # products, not **, which raises OverflowError
+            if not cmath.isfinite(disc):
                 raise ArithmeticError(f"p^3 - 27q^2 leaves the doubles at p = {p!r}, "
                                       f"q = {q!r}")
-            disc = direct
-        else:
-            gap = disc - direct
-            size = math.hypot(p3.real, p3.imag) + 27.0 * math.hypot(q2.real, q2.imag)
-            if math.isfinite(size) and math.hypot(gap.real, gap.imag) > 1e-10 * size:
-                raise ValueError(f"disc = {disc!r} disagrees with p^3 - 27q^2 by {gap!r}")
+        else:  # compared on the curve rescaled by 2^-k (weights 4, 6, 12), exact up to
+            # underflow, with the largest of |p|^(1/4), |q|^(1/6), |disc|^(1/12) near 1
+            parts = ((p, 4), (q, 6), (disc, 12))
+            k = max(math.frexp(max(abs(v.real), abs(v.imag)))[1] // w for v, w in parts if v)
+            ps, qs, ds = (complex(math.ldexp(v.real, -w * k), math.ldexp(v.imag, -w * k))
+                          for v, w in parts)
+            p3, q2 = ps * ps * ps, qs * qs
+            if abs(ds - (p3 - 27.0 * q2)) > 1e-10 * (abs(p3) + 27.0 * abs(q2)):
+                raise ValueError(f"disc = {disc!r} disagrees with p^3 - 27q^2 at p = {p!r}, "
+                                 f"q = {q!r}")
         if disc == 0:
             raise ValueError("degenerate curve: p^3 - 27 q^2 = 0")
         _set(self, "p", p)
@@ -201,7 +203,7 @@ def _cubic_roots(curve: WeierstrassCurve) -> list[complex]:
 def _match_roots(computed: list[complex],
                  predicted: tuple[complex, complex, complex]) -> tuple[complex, ...]:
     return min(permutations(computed),
-               key=lambda perm: sum(abs(c - t) for c, t in zip(perm, predicted)))
+               key=lambda perm: math.fsum(abs(c - t) for c, t in zip(perm, predicted)))
 
 
 def _root_differences(a1: complex, a2: complex, a3: complex,

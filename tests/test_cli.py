@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import math
 import re
@@ -386,7 +388,7 @@ def test_top_level_error_prints_the_committed_usage(name, argv, capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the parser main builds per call: complete only for the subcommand argv names
+# the parser: built on the first main call, reused by every later one
 # ---------------------------------------------------------------------------
 
 README_VERIFY = ("verify", "--level", "full", "--seed", "7")
@@ -412,34 +414,67 @@ EQUIVALENCE_ARGV = (
 )
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in EQUIVALENCE_ARGV],
-                         ids=[name for _, name in EQUIVALENCE_ARGV])
-def test_per_call_parser_prints_what_the_complete_parser_prints(argv, tmp_path, capsys,
-                                                                monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(tmp_path)  # "green" names no file
-    if argv and argv[-1] is None:
-        path = tmp_path / "curve.json"
-        path.write_text(json.dumps(README_FALTINGS_INPUT))
-        argv = (*argv[:-1], str(path))
-    per_call = run_cli(capsys, *argv)
-    complete = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: complete())
-    assert per_call == run_cli(capsys, *argv)
+def captured_run(argv):
+    # (exit code, stdout, stderr), without the function-scoped capsys
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_one_call_declares_only_the_named_subcommands_flags(capsys, monkeypatch):
-    declared = []
+@pytest.fixture(scope="module")
+def rows_in_one_process(tmp_path_factory):
+    """Per EQUIVALENCE_ARGV id: what each row prints from a freshly built parser,
+    and from the shared parser run over every row forward, then reversed."""
+    tmp = tmp_path_factory.mktemp("rows")  # holds no file named "green"
+    curve = tmp / "curve.json"
+    curve.write_text(json.dumps(README_FALTINGS_INPUT))
+    rows = [tuple(str(curve) if word is None else word for word in argv)
+            for argv, _ in EQUIVALENCE_ARGV]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        patch.chdir(tmp)
+        fresh = []
+        for argv in rows:
+            cli.build_parser.cache_clear()
+            fresh.append(captured_run(argv))
+        cli.build_parser.cache_clear()
+        forward = [captured_run(argv) for argv in rows]
+        backward = [captured_run(argv) for argv in reversed(rows)][::-1]
+    return {name: runs for (_, name), runs in zip(EQUIVALENCE_ARGV, zip(fresh, forward, backward))}
+
+
+@pytest.mark.parametrize("row", [name for _, name in EQUIVALENCE_ARGV])
+def test_per_call_parser_prints_what_the_complete_parser_prints(row, rows_in_one_process):
+    # a successful parse, help and every error screen read the same once the
+    # parser has served the other commands, in either order
+    fresh, forward, backward = rows_in_one_process[row]
+    assert forward == fresh
+    assert backward == fresh
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    assert main(list(GREEN_LINE)) == 0
+    built, declared = [], []
+    init = argparse.ArgumentParser.__init__
     add_argument = argparse.ArgumentParser.add_argument
 
-    def recording(self, *names, **keywords):
+    def recording_init(self, *args, **keywords):
+        built.append(keywords.get("prog"))
+        init(self, *args, **keywords)
+
+    def recording_add(self, *names, **keywords):
         declared.append(names)
         return add_argument(self, *names, **keywords)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add)
     assert main(list(GREEN_LINE)) == 0
-    assert sorted(declared) == [("--json",), ("--tau",), ("--tol",), ("--z",),
-                                ("-h", "--help"), ("-h", "--help")]
+    assert capsys.readouterr().out.count("command: green") == 2
+    assert (built, declared) == ([], [])
 
 
 def test_readme_cli_block_names_each_subcommand_once():

@@ -40,8 +40,9 @@ def test_curve_rejects_inconsistent_discriminant():
         WeierstrassCurve(0.0, 0.0, disc=1.0)
     with pytest.raises(ValueError, match="disagrees"):
         WeierstrassCurve(4.0, 0.0, disc=100.0)
-    # past the doubles the comparison is skipped rather than overflowing
-    assert WeierstrassCurve(1e200, 1e150, disc=5.0).discriminant == 5.0
+    # p^3 = 1e600 is past the doubles, but disc is still compared with it
+    with pytest.raises(ValueError, match="disagrees"):
+        WeierstrassCurve(1e200, 1e150, disc=5.0)
 
 
 @pytest.mark.parametrize("p,q,disc", [(math.nan, 1.0, None), (math.inf, 1.0, None),
@@ -56,6 +57,22 @@ def test_curve_names_a_discriminant_that_leaves_the_doubles():
     # p^3 = 6.4e601: a named error, not a raw OverflowError from p ** 3
     with pytest.raises(ArithmeticError, match="p\\^3 - 27q\\^2 leaves the doubles"):
         WeierstrassCurve(4e200, 1e300)
+
+
+def test_curve_checks_a_passed_discriminant_where_p_cubed_leaves_the_doubles():
+    # a disc no lattice has is a ValueError, not a raw OverflowError later in
+    # periods_from_curve
+    with pytest.raises(ValueError, match="disagrees"):
+        WeierstrassCurve(1e206 + 3j, 1e10, 1e300)
+    # a carried disc far in the cusp, rescaled by 2^85 (exact): p^3 ~ 2e313 leaves
+    # the doubles, disc ~ 3e207 does not, and 1e306 is off by 2e-8 of |p|^3 + 27|q|^2
+    curve = eisenstein(TauPoint(0.31, 40.0))
+    p, q, disc = (complex(math.ldexp(v.real, w * 85), math.ldexp(v.imag, w * 85))
+                  for v, w in ((curve.p, 4), (curve.q, 6), (curve.disc, 12)))
+    assert not cmath.isfinite(p * p * p)
+    assert WeierstrassCurve(p, q, disc).disc == disc
+    with pytest.raises(ValueError, match="disagrees"):
+        WeierstrassCurve(p, q, 1e306)
 
 
 @pytest.mark.parametrize("im", [0.9, 5.0, 12.0, 25.0, 40.0])
