@@ -32,6 +32,7 @@ from .modular import (
 )
 from .green import (
     GreenValue,
+    Torus,
     a_invariant_adjunction_check,
     energy,
     green,
@@ -76,7 +77,7 @@ __all__ = [
     "DEFAULT_TOL", "SeriesTolerance", "SurfaceInvariants",
     "delta", "eta", "invariants", "log_norm_delta", "log_norm_eta",
     "norm_theta", "theta", "theta_dz",
-    "GreenValue", "a_invariant_adjunction_check", "energy",
+    "GreenValue", "Torus", "a_invariant_adjunction_check", "energy",
     "green", "green_mean_integral", "green_pair", "green_projection_check",
     "torsion_product",
     "PeriodData", "RootTriple", "WeierstrassCurve",

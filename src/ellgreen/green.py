@@ -4,7 +4,9 @@ The computational definition is G(0, z) = ||theta||(z + (1+tau)/2; tau) / ||eta|
 two-point values follow from translation invariance, G(P, Q) = G(0, Q - P).
 The defining normalisation (zero mean of log G against the flat unit-mass
 form) is exposed as a quadrature check rather than assumed.  Every value and
-sum of log G here is evaluated on one `modular._Torus` record per torus.
+sum of log G here is evaluated on one `Torus` record per torus: a sum walks
++-P classes, a cyclic group from its generator, and forms the series
+constants once.
 """
 
 from __future__ import annotations
@@ -15,26 +17,12 @@ from fractions import Fraction
 from operator import truediv
 
 from . import _kernels
-from .lattice import (
-    Isogeny,
-    TauPoint,
-    TorusPoint,
-    _Value,
-    _check_order,
-    _kernel_pairs,
-    _mod_one,
-    _set,
-)
-from .modular import (
-    DEFAULT_TOL,
-    SeriesTolerance,
-    log_norm_eta,
-    _Torus,
-    _exp_normal,
-    _phase_row,
-    _series,
-    _weight_row,
-)
+from .lattice import (Coord, CyclicSubgroup, IntMatrix, Isogeny, TauPoint, TorusPoint, _Value,
+                      _check_order, _kernel_pairs, _mod_one, _set, cyclic_subgroups, quotient,
+                      reduce_tau)
+from .modular import (DEFAULT_TOL, SeriesTolerance, _Series, _exp_normal, _log_abs_eta,
+                      _log_abs_shifted, _phase_row, _series, _weight_row, log_abs_theta_shifted,
+                      log_norm_eta)
 
 _TWO_PI = 2.0 * math.pi
 _LOG_MAX = math.log(sys.float_info.max)  # exp of anything above overflows a double
@@ -67,7 +55,7 @@ class GreenValue(_Value):
         return cls(_exp_log_green(log_value), log_value)
 
 
-def _exp_log_green(log_value: float, torus: _Torus | None = None, name: str = "G") -> float:
+def _exp_log_green(log_value: float, torus: Torus | None = None, name: str = "G") -> float:
     # log G(0, a + b*tau) runs from about -pi*Im(tau)/6 at b = 0 to pi*Im(tau)/12
     # at b = 1/2, so G may leave the normal doubles while its log does not
     try:
@@ -78,12 +66,195 @@ def _exp_log_green(log_value: float, torus: _Torus | None = None, name: str = "G
         raise ArithmeticError(f"{exc} at reduced Im tau = {torus.red.im!r}") from None
 
 
+class Torus(_Value):
+    """The torus marked by tau, reduced once: the record every value and sum
+    of log G is evaluated on.  Read-only fields: `tau` and `tol` as given,
+    the reduced tau `red`, the matrix `mat` with red = mat.tau and `log_eta`
+    = log|eta(red)|.  It keeps, per order n, the finished log G by +-P class,
+    which every sum of that order reads, and the cyclic order-n quotients,
+    which `energies` and `average_green_over_cyclic` share; no value depends
+    on the order of the calls.  Pickled as a fresh record of (tau, tol).
+    """
+
+    __match_args__ = ("tau", "tol")
+    __slots__ = (*__match_args__, "red", "mat", "log_eta", "_tables", "_series", "_quotients")
+
+    def __init__(self, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL):
+        red, mat = reduce_tau(tau)
+        _set(self, "tau", tau)
+        _set(self, "tol", tol)
+        _set(self, "red", red)
+        _set(self, "mat", mat)
+        _set(self, "log_eta", _log_abs_eta(red, tol))
+        _set(self, "_tables", {})  # n: {a*n + b: log G}, filled by log_green_sums
+        _set(self, "_series", None)  # _series(red, tol), at the first log G that needs it
+        _set(self, "_quotients", {})  # n: [(subgroup, quotient, log_norm_eta(target))]
+
+    @property
+    def log_norm_eta(self) -> float:
+        return 0.25 * math.log(self.red.im) + self.log_eta
+
+    def _constants(self) -> _Series:
+        if self._series is None:
+            _set(self, "_series", _series(self.red, self.tol))
+        return self._series
+
+    def log_green(self, a: float, b: float) -> float:
+        # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
+        return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, self._constants()) - self.log_eta
+
+    def log_green_at(self, a: Coord, b: Coord) -> float | None:
+        # log G(0, a + b*tau), None at the origin: (a, b) moves through `mat` as in
+        # transport_point, two Fractions in integers over den = qa*qb (int / int
+        # rounds as float(Fraction) does), any other pair in floats
+        (ma, mb), (mc, md) = self.mat
+        if a.__class__ is Fraction and b.__class__ is Fraction:
+            (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+            den = qa * qb
+            a, b = (ma * pa * qb - mb * pb * qa) % den, (md * pb * qa - mc * pa * qb) % den
+        else:
+            a, b, den = _mod_one(ma * a - mb * b, "a"), _mod_one(md * b - mc * a, "b"), 1.0
+        if a == 0 and b == 0:
+            return None
+        return self.log_green(a / den, b / den)
+
+    def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
+        # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
+        # once, then k*g (k = 1..n/2) as a running sum at min(k*g, -k*g), weight 2 (1 at k = n/2)
+        (ma, mb), (mc, md) = self.mat
+        i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
+        classes, a, b = {}, 0, 0
+        for k in range(1, n // 2 + 1):
+            a, b = (a + i) % n, (b + j) % n
+            na, nb = -a % n, -b % n
+            classes[(a, b) if a < na or a == na and b <= nb else (na, nb)] = 1 if 2 * k == n else 2
+        return classes
+
+    def kernel_classes(self, t: IntMatrix, n: int) -> dict[tuple[int, int], int]:
+        # the +-P classes of T's kernel, walked from the first c1 + l*c2 (c1, c2 the
+        # columns of adj(T)) of exact order n, which a cyclic kernel has (per prime p | n
+        # one l mod p fails at most); a kernel with none moves each pair through `mat`
+        (t11, t12), (t21, t22) = t
+        for l in range(n):
+            i, j = (t22 - l * t12) % n, (l * t11 - t21) % n
+            if math.gcd(i, j, n) == 1:
+                return self.walk(n, i, j)
+        (ma, mb), (mc, md) = self.mat
+        moved = [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in _kernel_pairs(t, n)]
+        return {(a, b): 1 if (a, b) == neg else 2 for a, b in moved
+                if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
+
+    def torsion_classes(self, n: int, exact_order: bool = False) -> dict[tuple[int, int], int]:
+        # the +-P classes of the nonzero n-torsion, or of its points of exact order n, listed as
+        # min(P, -P): a = 0..n/2, any b where 0 < 2a < n, b = 0..n/2 where a = 0 (b >= 1) or
+        # 2a = n; weight 1 where P = -P.  `mat` maps each set onto itself: no pair moves
+        _check_order(n, "order" if exact_order else "n")
+        return {(a, b): 1 if edge and 2 * b % n == 0 else 2
+                for a in range(n // 2 + 1) for edge in (2 * a % n == 0,)
+                for b in range(a == 0, n // 2 + 1 if edge else n)
+                if not exact_order or math.gcd(a, b, n) == 1}
+
+    def log_green_sums(self, n: int, class_lists: list[dict[tuple[int, int], int]]) -> list[float]:
+        # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
+        # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
+        # 2*x is exact, so fsum gives the bits of the sum over the points.  A lone
+        # group (1 to n/2 + 1 classes) on a record with no n-table goes one loop
+        # per class; any other request fills the n-table, keyed by the int a*n + b
+        # (tuple keys held for a whole verify run raise its peak RSS), from weight and
+        # phase rows shared within the request.
+        if (len(class_lists) == 1 and n not in self._tables
+                and 0 < len(class_lists[0]) <= n // 2 + 1):
+            series = self._constants()
+            return [math.fsum([w * (_log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0,
+                                                     series) - self.log_eta)
+                               for (a, b), w in class_lists[0].items()])]
+        table, weights, phases = self._tables.setdefault(n, {}), {}, {}
+        sums = []
+        for classes in class_lists:
+            logs = []
+            for (a, b), w in classes.items():
+                key = a * n + b
+                if key not in table:
+                    series = self._constants()
+                    if b not in weights:
+                        weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
+                    if a not in phases:
+                        phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
+                    table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self.log_eta
+                logs.append(w * table[key])
+            sums.append(math.fsum(logs))
+        return sums
+
+    def _cyclic_quotients(self, n: int) -> list[tuple[CyclicSubgroup, Isogeny, float]]:
+        # (sub, quotient(tau, sub), log_norm_eta of its target) per cyclic_subgroups(n), once
+        if n not in self._quotients:
+            isos = [(sub, quotient(self.tau, sub)) for sub in cyclic_subgroups(n)]
+            self._quotients[n] = [(sub, iso, log_norm_eta(iso.target, self.tol))
+                                  for sub, iso in isos]
+        return self._quotients[n]
+
+    def _kernel_energies(self, n: int, quotients: list[tuple[Isogeny, float]]
+                         ) -> list[tuple[float, float]]:
+        # energy() of each (isogeny of degree n from tau, log_norm_eta(its target)), one request
+        log_products = self.log_green_sums(
+            n, [self.kernel_classes(iso.coordinate_matrix(), n) for iso, _ in quotients])
+        return [(_exp_log_green(log_product, self, "kernel product"),
+                 math.sqrt(n) * math.exp(2.0 * (log_norm_target - self.log_norm_eta)))
+                for (_, log_norm_target), log_product in zip(quotients, log_products)]
+
+    def green(self, z: TorusPoint) -> GreenValue:
+        """G(0, z), z in tau's lattice coordinates; see `green`."""
+        log_value = self.log_green_at(z.a, z.b)
+        if log_value is None:
+            return GreenValue(0.0, -math.inf)
+        return GreenValue(_exp_log_green(log_value, self), log_value)
+
+    def torsion_product(self, n: int) -> float:
+        """prod of G(0, P) over the nonzero n-torsion; see `torsion_product`."""
+        return _exp_log_green(self.log_green_sums(n, [self.torsion_classes(n)])[0], self,
+                              "kernel product")
+
+    def energy(self, iso: Isogeny) -> tuple[float, float]:
+        """(product, predicted) of an isogeny from tau; see `energy`.  Raises
+        ValueError where iso.source is not this record's tau."""
+        if iso.source != self.tau:
+            raise ValueError(f"isogeny source {iso.source!r} is not the torus's tau {self.tau!r}")
+        return self._kernel_energies(iso.degree, [(iso, log_norm_eta(iso.target, self.tol))])[0]
+
+    def energies(self, n: int) -> list[tuple[float, float]]:
+        """energy() of the quotient by each cyclic order-n subgroup, in
+        cyclic_subgroups(n) order."""
+        return self._kernel_energies(n, [(iso, log) for _, iso, log in self._cyclic_quotients(n)])
+
+    def average_green_over_cyclic(self, n: int):
+        """The AverageHeightReport at (tau, n); see `heights.average_green_over_cyclic`."""
+        # a function-level import: heights imports this module
+        from .heights import (AverageHeightReport, average_height_increment,
+                              cyclic_log_green_constant)
+        quotients = self._cyclic_quotients(n)
+        green_sums = self.log_green_sums(n, [self.walk(n, sub.u, sub.v) for sub, _, _ in quotients])
+        log_delta_src = 24.0 * self.log_norm_eta
+        delta_drops = [(log_delta_src - 24.0 * log) / 12.0 for _, _, log in quotients]
+        return AverageHeightReport(
+            n=n,
+            green_average=math.fsum(green_sums) / len(quotients),
+            green_predicted=cyclic_log_green_constant(n),
+            delta_average=math.fsum(delta_drops) / len(quotients),
+            delta_predicted=average_height_increment(n),
+        )
+
+    def exact_order_log_green(self, m: int) -> float:
+        """Sum of log G over the points of exact order m; see
+        `heights.exact_order_log_green`."""
+        return self.log_green_sums(m, [self.torsion_classes(m, exact_order=True)])[0]
+
+
 def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> GreenValue:
     """G(0, z) on the torus marked by tau.
 
     tau is reduced to the fundamental domain and the point's lattice
     coordinates are moved through the same change of marking on its record
-    (`_Torus.log_green_at`), so the result is an invariant of (torus, point
+    (`Torus.log_green_at`), so the result is an invariant of (torus, point
     class); an exact point moves in integers and builds no Fraction.  Exactly
     zero iff the reduced point is (0, 0).  log G is right at any reduced Im tau.
 
@@ -94,11 +265,7 @@ def green(tau: TauPoint, z: TorusPoint, tol: SeriesTolerance = DEFAULT_TOL) -> G
     coordinates); within a few rounding errors of it no digit survives and
     it raises ArithmeticError instead of returning noise.
     """
-    torus = _Torus(tau, tol)
-    log_value = torus.log_green_at(z.a, z.b)
-    if log_value is None:
-        return GreenValue(0.0, -math.inf)
-    return GreenValue(_exp_log_green(log_value, torus), log_value)
+    return Torus(tau, tol).green(z)
 
 
 def green_pair(tau: TauPoint, p: TorusPoint, q: TorusPoint,
@@ -124,7 +291,7 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
     d, den = da * db, n * da * db
     qa, qb = t22 * wa * db - t12 * wb * da, t11 * wb * da - t21 * wa * db
     div_a, div_b = (Fraction if isinstance(x, Fraction) else truediv for x in (z.a, z.b))
-    torus = _Torus(iso.source, tol)
+    torus = Torus(iso.source, tol)
     logs = []
     for i, j in _kernel_pairs(iso.coordinate_matrix(), n):
         log_value = torus.log_green_at(_mod_one(z.a - div_a((qa + d * i) % den, den), "a"),
@@ -134,7 +301,7 @@ def green_projection_check(iso: Isogeny, w: TorusPoint, z: TorusPoint,
         logs.append(log_value)
     fa = _mod_one(_mod_one(t11 * z.a + t12 * z.b, "a") - w.a, "a")
     fb = _mod_one(_mod_one(t21 * z.a + t22 * z.b, "b") - w.b, "b")
-    torus = _Torus(iso.target, tol)
+    torus = Torus(iso.target, tol)
     log_target = torus.log_green_at(fa, fb)
     if log_target is None:
         raise ValueError("f(z) coincides with w; log G diverges")
@@ -149,12 +316,7 @@ def torsion_product(tau: TauPoint, n: int, tol: SeriesTolerance = DEFAULT_TOL) -
     ArithmeticError, naming the kernel product, its log and the reduced Im
     tau, where the product is not a normal double.
     """
-    return _torsion_product(_Torus(tau, tol), n)
-
-
-def _torsion_product(torus: _Torus, n: int) -> float:
-    log_product = torus.log_green_sums(n, [torus.torsion_classes(n)])[0]
-    return _exp_log_green(log_product, torus, "kernel product")
+    return Torus(tau, tol).torsion_product(n)
 
 
 def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -166,18 +328,7 @@ def energy(iso: Isogeny, tol: SeriesTolerance = DEFAULT_TOL) -> tuple[float, flo
     normal double: kernel points at b = 1/2 or b = 0 push it out of range from
     a reduced source Im tau of ~2700 or ~1350, and a large N at any source tau.
     """
-    return _energies(_Torus(iso.source, tol), [(iso, log_norm_eta(iso.target, tol))])[0]
-
-
-def _energies(torus: _Torus, quotients: list[tuple[Isogeny, float]]) -> list[tuple[float, float]]:
-    # energy() of each (isogeny, log_norm_eta(its target)) of one degree, on their source's record
-    n = quotients[0][0].degree
-    log_norm_source = torus.log_norm_eta
-    log_products = torus.log_green_sums(
-        n, [torus.kernel_classes(iso.coordinate_matrix(), n) for iso, _ in quotients])
-    return [(_exp_log_green(log_product, torus, "kernel product"),
-             math.sqrt(n) * math.exp(2.0 * (log_norm_target - log_norm_source)))
-            for (_, log_norm_target), log_product in zip(quotients, log_products)]
+    return Torus(iso.source, tol).energy(iso)
 
 
 def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL,
@@ -191,7 +342,7 @@ def a_invariant_adjunction_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_T
     Raises ArithmeticError, naming the value and its log, where ||eta||^2
     or a sampled G is not a normal double (from a reduced Im tau of ~1350).
     """
-    torus = _Torus(tau, tol)
+    torus = Torus(tau, tol)
     a_closed = 1.0 / (_TWO_PI * _exp_normal(2.0 * torus.log_norm_eta, "||eta||^2",
                                             "2 log||eta||"))
 
@@ -222,14 +373,14 @@ def green_mean_integral(tau: TauPoint, grid: int,
     log G(0, (1+tau)/2) (at (1/2, 1/2) in reduced coordinates).
     """
     _check_order(grid, "grid", 16)
-    return _Torus(tau, tol).log_green(0.5, 0.5) / (grid * grid)
+    return Torus(tau, tol).log_green(0.5, 0.5) / (grid * grid)
 
 
 def _midpoint_log_green_mean(tau: TauPoint, grid: int,
                              tol: SeriesTolerance = DEFAULT_TOL) -> float:
     # The direct sum behind green_mean_integral's closed form.  G(-P) = G(P)
     # pairs (i, j) with (M-1-i, M-1-j): rows j < M/2 count twice, an odd M's middle once.
-    torus = _Torus(tau, tol)
+    torus = Torus(tau, tol)
     shifted = [((i + 0.5) / grid + 0.5) % 1.0 for i in range(grid)]
     series = _series(torus.red, tol)
     rows = [_weight_row(d, series) for d in shifted[:(grid + 1) // 2]]

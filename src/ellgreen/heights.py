@@ -11,17 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .green import green  # noqa: F401  perfbench/tests reads green
-from .lattice import (
-    CyclicSubgroup,
-    TauPoint,
-    _Value,
-    _check_order,
-    _quotient_target,
-    _set,
-    cyclic_subgroups,
-)
-from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, log_norm_delta, log_norm_eta
+from .green import Torus, green  # noqa: F401  perfbench/tests reads green
+from .lattice import TauPoint, _Value, _check_order, _set
+from .modular import DEFAULT_TOL, SeriesTolerance, log_norm_delta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,8 +67,7 @@ def exact_order_log_green(tau: TauPoint, m: int,
     """Numeric sum of log G(Q, 0) over the points of exact order m (the zero
     point, the only point of exact order 1, is excluded by convention).
     Summed as logs, so it is finite at any reduced Im tau."""
-    torus = _Torus(tau, tol)
-    return torus.log_green_sums(m, [torus.torsion_classes(m, exact_order=True)])[0]
+    return Torus(tau, tol).exact_order_log_green(m)
 
 
 def average_height_increment(n: int) -> float:
@@ -120,27 +111,7 @@ def average_green_over_cyclic(tau: TauPoint, n: int,
     values over nonzero subgroup points, together with the discriminant-norm
     route through the quotient tori.  Both are sums of logs, finite at any
     reduced Im tau."""
-    subs = cyclic_subgroups(n)
-    log_norm_targets = [log_norm_eta(_quotient_target(tau, sub)[0], tol) for sub in subs]
-    return _average_green_over_cyclic(_Torus(tau, tol), n, subs, log_norm_targets)
-
-
-def _average_green_over_cyclic(torus: _Torus, n: int, subs: list[CyclicSubgroup],
-                               log_norm_targets: list[float]) -> AverageHeightReport:
-    # average_green_over_cyclic() on the record of its tau, with subs =
-    # cyclic_subgroups(n) and log_norm_eta (log_norm_delta / 24) of each target
-    count = len(subs)
-    log_delta_src = 24.0 * torus.log_norm_eta
-    green_sums = torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
-    delta_drops = [(log_delta_src - 24.0 * log_norm_target) / 12.0
-                   for log_norm_target in log_norm_targets]
-    return AverageHeightReport(
-        n=n,
-        green_average=math.fsum(green_sums) / count,
-        green_predicted=cyclic_log_green_constant(n),
-        delta_average=math.fsum(delta_drops) / count,
-        delta_predicted=average_height_increment(n),
-    )
+    return Torus(tau, tol).average_green_over_cyclic(n)
 
 
 class CurveHeightInput(_Value):

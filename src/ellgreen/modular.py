@@ -8,9 +8,8 @@ whatever the point or Im tau.  It has two forms that give the same bits: a
 one-point loop (`_shifted_sum`) for theta, theta', ||theta||, single values
 of log G and a lone group's sum, and a weight row times a phase row
 (`log_abs_theta_shifted`) for the shared tables of log G and the midpoint
-grid.  `_Torus`, one reduced torus, is the record every value and sum of
-log G is evaluated on; a sum walks +-P classes, a cyclic group from its
-generator, and forms the series constants once.
+grid.  The record every value and sum of log G is evaluated on, one
+reduced torus, is `green.Torus`.
 """
 
 from __future__ import annotations
@@ -18,12 +17,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from operator import mul
 
 from .errors import SeriesConvergenceError
-from .lattice import (Coord, IntMatrix, TauPoint, TorusPoint, _Value, _check_order, _kernel_pairs,
-                      _mod_one, _set, reduce_tau)
+from .lattice import TauPoint, TorusPoint, _Value, _set, reduce_tau
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -118,7 +115,8 @@ def log_norm_eta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
 
     Reduces tau internally; the value depends only on the torus.
     """
-    return _Torus(tau, tol).log_norm_eta
+    red, _ = reduce_tau(tau)
+    return 0.25 * math.log(red.im) + _log_abs_eta(red, tol)
 
 
 def log_norm_delta(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> float:
@@ -220,7 +218,7 @@ def log_abs_theta_shifted(row: _WeightRow, phases: list[complex]) -> float:
     """log |S(c, d)| = log |exp(pi*i*tau*d^2) * theta(c + d*tau; tau)|, from
     the weight row of d (`_weight_row`) and the phase row of c (`_phase_row`).
 
-    This row form fills `_Torus.log_green_sums`'s shared tables; one point, or
+    This row form fills `green.Torus.log_green_sums`'s shared tables; one point, or
     a lone group walked on a record with no table, goes through `_shifted_sum`,
     which gives the same bits.  The dominant term's modulus
     exp(-pi*Im(tau)*m0^2) enters as a log, so nothing under- or overflows at
@@ -305,113 +303,6 @@ def norm_theta(point: TorusPoint, tau: TauPoint,
     _, lead, total = _shifted_sum(float(point.a), float(point.b) % 1.0, _series(tau, tol))
     scale = _exp_normal(0.25 * math.log(tau.im) + lead, "||theta||", "log of its dominant term")
     return scale * abs(total)
-
-
-class _Torus:
-    """The torus marked by tau, reduced once: the reduced tau `red`, the
-    matrix `mat` with red = mat.tau (`log_green_at` moves a point of tau's
-    marking through it), log|eta(red)|, its `series` constants and, per n,
-    the finished table of log G by +-P class that `log_green_sums` fills."""
-
-    __slots__ = ("tol", "red", "mat", "log_eta", "tables", "series")
-
-    def __init__(self, tau: TauPoint, tol: SeriesTolerance):
-        self.tol = tol
-        self.red, self.mat = reduce_tau(tau)
-        self.log_eta = _log_abs_eta(self.red, tol)
-        self.tables: dict[int, dict[int, float]] = {}
-        self.series: _Series | None = None  # _series(red, tol), at the first log G that needs it
-
-    @property
-    def log_norm_eta(self) -> float:
-        return 0.25 * math.log(self.red.im) + self.log_eta
-
-    def log_green(self, a: float, b: float) -> float:
-        # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
-        series = self.series = self.series or _series(self.red, self.tol)
-        return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self.log_eta
-
-    def log_green_at(self, a: Coord, b: Coord) -> float | None:
-        # log G(0, a + b*tau), None at the origin: (a, b) moves through `mat` as in
-        # transport_point, two Fractions in integers over den = qa*qb (int / int
-        # rounds as float(Fraction) does), any other pair in floats
-        (ma, mb), (mc, md) = self.mat
-        if a.__class__ is Fraction and b.__class__ is Fraction:
-            (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
-            den = qa * qb
-            a, b = (ma * pa * qb - mb * pb * qa) % den, (md * pb * qa - mc * pa * qb) % den
-        else:
-            a, b, den = _mod_one(ma * a - mb * b, "a"), _mod_one(md * b - mc * a, "b"), 1.0
-        if a == 0 and b == 0:
-            return None
-        return self.log_green(a / den, b / den)
-
-    def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
-        # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
-        # once, then k*g (k = 1..n/2) as a running sum at min(k*g, -k*g), weight 2 (1 at k = n/2)
-        (ma, mb), (mc, md) = self.mat
-        i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
-        classes, a, b = {}, 0, 0
-        for k in range(1, n // 2 + 1):
-            a, b = (a + i) % n, (b + j) % n
-            na, nb = -a % n, -b % n
-            classes[(a, b) if a < na or a == na and b <= nb else (na, nb)] = 1 if 2 * k == n else 2
-        return classes
-
-    def kernel_classes(self, t: IntMatrix, n: int) -> dict[tuple[int, int], int]:
-        # the +-P classes of T's kernel, walked from the first c1 + l*c2 (c1, c2 the
-        # columns of adj(T)) of exact order n, which a cyclic kernel has (per prime p | n
-        # one l mod p fails at most); a kernel with none moves each pair through `mat`
-        (t11, t12), (t21, t22) = t
-        for l in range(n):
-            i, j = (t22 - l * t12) % n, (l * t11 - t21) % n
-            if math.gcd(i, j, n) == 1:
-                return self.walk(n, i, j)
-        (ma, mb), (mc, md) = self.mat
-        moved = [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in _kernel_pairs(t, n)]
-        return {(a, b): 1 if (a, b) == neg else 2 for a, b in moved
-                if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
-
-    def torsion_classes(self, n: int, exact_order: bool = False) -> dict[tuple[int, int], int]:
-        # the +-P classes of the nonzero n-torsion, or of its points of exact order n, listed as
-        # min(P, -P): a = 0..n/2, any b where 0 < 2a < n, b = 0..n/2 where a = 0 (b >= 1) or
-        # 2a = n; weight 1 where P = -P.  `mat` maps each set onto itself: no pair moves
-        _check_order(n, "order" if exact_order else "n")
-        return {(a, b): 1 if edge and 2 * b % n == 0 else 2
-                for a in range(n // 2 + 1) for edge in (2 * a % n == 0,)
-                for b in range(a == 0, n // 2 + 1 if edge else n)
-                if not exact_order or math.gcd(a, b, n) == 1}
-
-    def log_green_sums(self, n: int, class_lists: list[dict[tuple[int, int], int]]) -> list[float]:
-        # Per {(a, b): weight} over +-P classes, (a, b) = min(P, -P) in reduced
-        # coordinates as green() picks it, the weighted sum of log G(0, (a + b*red)/n);
-        # 2*x is exact, so fsum gives the bits of the sum over the points.  A lone
-        # group (1 to n/2 + 1 classes) on a record with no n-table goes one loop
-        # per class; any other request fills the n-table, keyed by the int a*n + b
-        # (tuple keys held for a whole verify run raise its peak RSS), from weight and
-        # phase rows shared within the request.
-        if (len(class_lists) == 1 and n not in self.tables
-                and 0 < len(class_lists[0]) <= n // 2 + 1):
-            series = self.series = self.series or _series(self.red, self.tol)
-            return [math.fsum([w * (_log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0,
-                                                     series) - self.log_eta)
-                               for (a, b), w in class_lists[0].items()])]
-        table, weights, phases = self.tables.setdefault(n, {}), {}, {}
-        sums = []
-        for classes in class_lists:
-            logs = []
-            for (a, b), w in classes.items():
-                key = a * n + b
-                if key not in table:
-                    series = self.series = self.series or _series(self.red, self.tol)
-                    if b not in weights:
-                        weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
-                    if a not in phases:
-                        phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
-                    table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self.log_eta
-                logs.append(w * table[key])
-            sums.append(math.fsum(logs))
-        return sums
 
 
 # ---------------------------------------------------------------------------

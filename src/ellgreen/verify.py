@@ -15,16 +15,14 @@ from collections import Counter
 from fractions import Fraction
 
 from .green import (
-    _energies,
-    _midpoint_log_green_mean,
-    _torsion_product,
+    Torus,
+    _midpoint_log_green_mean,  # criterion 9's direct sum; green_mean_integral is the closed form
     a_invariant_adjunction_check,
     green,
     green_projection_check,
 )
 from .heights import (
     CurveHeightInput,
-    _average_green_over_cyclic,
     cyclic_subgroup_count,
     exact_order_log_green_expected,
     faltings_height,
@@ -32,17 +30,16 @@ from .heights import (
 from .lattice import (
     TauPoint,
     TorusPoint,
-    _Value,
+    _Value,  # with _set, builds CheckResult
     _set,
     cyclic_subgroups,
     quotient,
     reduce_tau,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, delta, log_norm_eta, theta_dz
+from .modular import DEFAULT_TOL, SeriesTolerance, delta, theta, theta_dz
 from .weierstrass import (
     PeriodData,
-    _cubic_roots,
-    _theta_constants,
+    _cubic_roots,  # the roots whose AGM iterations criterion 11 counts
     discriminant_relation_residual,
     eisenstein,
     half_period_roots,
@@ -106,7 +103,8 @@ def _check_cusp_identities(taus, tol) -> list[CheckResult]:
     worst_product = worst_deriv = 0.0
     for tau in taus:
         dval = delta(tau, tol)
-        t3, t4, t2 = _theta_constants(tau, tol)
+        t3, t4 = theta(0.0, tau, tol), theta(0.5, tau, tol)
+        t2 = cmath.exp(1j * math.pi * tau.z / 4.0) * theta(tau.z / 2.0, tau, tol)
         lhs1 = (t3 * t4 * t2) ** 8
         worst_product = _worse(worst_product, abs(lhs1 - 256.0 * dval) / abs(256.0 * dval))
         lhs2 = (cmath.exp(1j * math.pi * tau.z / 4.0)
@@ -122,18 +120,18 @@ def _check_cusp_identities(taus, tol) -> list[CheckResult]:
 def _check_torsion_products(sampled, n_max) -> list[CheckResult]:
     out = []
     for i, torus in enumerate(sampled):
-        worst = _worse(0.0, *(_rel(_torsion_product(torus, n), float(n))
+        worst = _worse(0.0, *(_rel(torus.torsion_product(n), float(n))
                                for n in range(1, n_max + 1)))
         out.append(CheckResult(2, f"torsion product = N, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
 
 
-def _check_energy(sampled, quotients, n_max) -> list[CheckResult]:
+def _check_energy(sampled, n_max) -> list[CheckResult]:
     out = []
-    for i, (torus, by_order) in enumerate(zip(sampled, quotients)):
+    for i, torus in enumerate(sampled):
         worst = 0.0
         for n in range(1, n_max + 1):
-            for product, predicted in _energies(torus, by_order[n]):
+            for product, predicted in torus.energies(n):
                 worst = _worse(worst, abs(product - predicted) / predicted)
         out.append(CheckResult(3, f"isogeny kernel energy, N<={n_max}, tau#{i}", worst, 1e-10))
     return out
@@ -159,12 +157,10 @@ def _check_projection(rng, subgroups, instances, tol) -> list[CheckResult]:
                         worst, 1e-10)]
 
 
-def _check_averages(sampled, quotients, subgroups, n_max) -> list[CheckResult]:
+def _check_averages(sampled, n_max) -> list[CheckResult]:
     out = []
-    for i, (torus, by_order) in enumerate(zip(sampled, quotients)):
-        reports = [_average_green_over_cyclic(torus, n, subgroups[n],
-                                              [log for _, log in by_order[n]])
-                   for n in range(1, n_max + 1)]
+    for i, torus in enumerate(sampled):
+        reports = [torus.average_green_over_cyclic(n) for n in range(1, n_max + 1)]
         out.append(CheckResult(
             5, f"average log-Green over cyclic subgroups, N<={n_max}, tau#{i}",
             _worse(0.0, *(r.green_residual for r in reports)), 1e-7))
@@ -176,8 +172,7 @@ def _check_averages(sampled, quotients, subgroups, n_max) -> list[CheckResult]:
 
 def _check_exact_order_sums(sampled, m_max) -> list[CheckResult]:
     worst = _worse(0.0, *(
-        abs(torus.log_green_sums(m, [torus.torsion_classes(m, exact_order=True)])[0]
-            - exact_order_log_green_expected(m))
+        abs(torus.exact_order_log_green(m) - exact_order_log_green_expected(m))
         for torus in sampled for m in range(1, m_max + 1)))
     # closed-form consistency: divisor sums of the expected values telescope
     worst_closed = _worse(0.0, *(
@@ -350,24 +345,21 @@ def run_checks(level: str = "full", seed: int = 7,
     grid_taus = _tau_grid(5 if full else 3, 5.0 if full else 3.0)
     n_max = 12 if full else 6
     count_max, contain_max = (30, 24) if full else (15, 10)
-    # each order's subgroups, enumerated once for criteria 3 and 5 (to n_max),
-    # 4 (to 8) and 12 (to count_max, the largest)
+    # each order's subgroups, enumerated once for criteria 4 (to 8) and 12
+    # (to count_max)
     subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
     # one record per sampled tau: criteria 2, 3, 5 and 6 share its reduction,
     # log|eta| and +-P tables, 3 and 5 its quotients with log_norm_eta(target)
-    sampled = [_Torus(tau, tol) for tau in taus3]
-    quotients = [{n: [(iso, log_norm_eta(iso.target, tol))
-                      for iso in (quotient(tau, sub) for sub in subgroups[n])]
-                  for n in range(1, n_max + 1)} for tau in taus3]
+    sampled = [Torus(tau, tol) for tau in taus3]
 
     results: list[CheckResult] = []
     results += _check_cusp_identities(grid_taus, tol)
     results += _check_torsion_products(sampled, n_max)
-    results += _check_energy(sampled, quotients, n_max)
+    results += _check_energy(sampled, n_max)
     results += _check_projection(rng, subgroups, 100 if full else 20, tol)
-    results += _check_averages(sampled, quotients, subgroups, n_max)
+    results += _check_averages(sampled, n_max)
     results += _check_exact_order_sums(sampled, n_max)
-    del sampled, quotients  # the records go before criterion 12 builds its point sets
+    del sampled  # the records and their quotients go before criterion 12 builds its point sets
     results += _check_weierstrass_grid(grid_taus, tol)
     results += _check_two_torsion(grid_taus, tol)
     results += _check_mean_integral(tol)

@@ -14,8 +14,9 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import SeriesConvergenceError
+from .green import Torus
 from .lattice import TauPoint, _Value, _set, reduce_tau
-from .modular import DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_shifted, _series, delta, theta
+from .modular import DEFAULT_TOL, SeriesTolerance, _log_abs_shifted, _series, delta, theta
 
 _PI = math.pi
 _PI_SQ = math.pi * math.pi
@@ -146,15 +147,6 @@ def eisenstein(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Weierstrass
     return WeierstrassCurve(g2, g3, disc)
 
 
-def _theta_constants(tau: TauPoint, tol: SeriesTolerance) -> tuple[complex, complex, complex]:
-    # (theta(0), theta(1/2), exp(pi*i*tau/4) * theta(tau/2)); the phased third
-    # constant is the natural one for fourth-power identities.
-    t3 = theta(0.0, tau, tol)
-    t4 = theta(0.5, tau, tol)
-    t2 = cmath.exp(1j * _PI * tau.z / 4.0) * theta(tau.z / 2.0, tau, tol)
-    return t3, t4, t2
-
-
 def _theta_roots(t3: complex, t4: complex) -> RootTriple:
     # alpha1 - alpha3 = pi^2 theta(0)^4, alpha1 - alpha2 = pi^2 theta(1/2)^4
     # and alpha1 + alpha2 + alpha3 = 0 pin the triple
@@ -248,7 +240,9 @@ def thomae_residuals(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
     value, which sidesteps the square-root branch choices.
     """
     curve = eisenstein(tau, tol)
-    t3, t4, t2 = _theta_constants(tau, tol)
+    # theta(0), theta(1/2) and the phased exp(pi*i*tau/4) * theta(tau/2)
+    t3, t4 = theta(0.0, tau, tol), theta(0.5, tau, tol)
+    t2 = cmath.exp(1j * _PI * tau.z / 4.0) * theta(tau.z / 2.0, tau, tol)
     a1, a2, a3 = _match_roots(_cubic_roots(curve), _theta_roots(t3, t4).as_tuple())
     d12, d13, d23 = _root_differences(a1, a2, a3, curve)
     rhs13 = _PI_SQ * abs(t3) ** 4
@@ -305,7 +299,7 @@ def two_torsion_green_check(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
         pair: 4.0 * _log_abs_shifted(c, d, series)
         for pair, (c, d) in (((0, 1), (0.5, 0.0)), ((0, 2), (0.0, 0.0)), ((1, 2), (0.0, 0.5)))
     }
-    out, torus = [], _Torus(tau, tol)
+    out, torus = [], Torus(tau, tol)
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         (ai, bi), (aj, bj) = _HALF_PERIOD_COORDS[i], _HALF_PERIOD_COORDS[j]
         lhs = 12.0 * torus.log_green_sums(2, [torus.walk(2, aj - ai, bj - bi)])[0]

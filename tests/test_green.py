@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ellgreen.errors import SeriesConvergenceError
 from ellgreen.green import (
     GreenValue,
-    _energies,
+    Torus,
     _exp_log_green,
     _midpoint_log_green_mean,
     a_invariant_adjunction_check,
@@ -31,8 +31,8 @@ from ellgreen.lattice import (
     quotient,
     transport_point,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _phase_row,
-                              _series, _weight_row, log_abs_theta_shifted, log_norm_eta)
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _log_abs_eta, _phase_row, _series,
+                              _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
 
@@ -122,7 +122,7 @@ def _outcome(fn):
 
 def _green_by_transport(tau, z):
     # green() through transport_point, as for a float point
-    torus = _Torus(tau, DEFAULT_TOL)
+    torus = Torus(tau, DEFAULT_TOL)
     moved = transport_point(z, torus.mat)
     if moved.is_zero:
         return GreenValue(0.0, -math.inf)
@@ -167,7 +167,7 @@ def test_green_on_float_and_mixed_points_equals_the_transported_route(re, im, ab
 
 
 def test_green_calls_transport_point_for_no_kind_of_point(count_calls):
-    # every point moves through the reduction on the record (_Torus.log_green_at)
+    # every point moves through the reduction on the record (Torus.log_green_at)
     counts = count_calls(transport_point)
     tau = TauPoint(0.73, 0.11)
     for a, b in ((Fraction(3, 7), Fraction(5, 7)), (3 / 7, 5 / 7), (Fraction(3, 7), 5 / 7),
@@ -200,7 +200,7 @@ def test_a_record_raises_its_window_error_at_each_value_that_needs_it():
     tight = SeriesTolerance(1e-12, 8)  # too few terms at reduced Im tau below ~2.2
     assert torsion_product(TAU, 1, tight) == 1.0  # reads the zero pair alone
     assert log_norm_eta(TAU, tight) == log_norm_eta(TAU)
-    torus = _Torus(TAU, tight)
+    torus = Torus(TAU, tight)
     for _ in range(2):
         with pytest.raises(SeriesConvergenceError, match="needs 10 terms > max_terms=8"):
             torus.log_green(0.3, 0.2)
@@ -363,12 +363,11 @@ def test_energies_of_one_source_equal_one_call_each(tau, moved_classes):
     # exactly, and both equal the formula from a reduction per isogeny
     for n in range(1, 13):
         isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
-        quotients = [(iso, log_norm_eta(iso.target)) for iso in isos]
-        shared = _energies(_Torus(tau, DEFAULT_TOL), quotients)
+        shared = Torus(tau, DEFAULT_TOL).energies(n)
         assert shared == [energy(iso) for iso in isos]
         for iso, got in zip(isos, shared):
             # each kernel pair moved on its own, not walked from a generator
-            torus = _Torus(tau, DEFAULT_TOL)
+            torus = Torus(tau, DEFAULT_TOL)
             classes = moved_classes(torus, _kernel_pairs(iso.coordinate_matrix(), n), n)
             log_product = torus.log_green_sums(n, [classes])[0]
             log_ratio = 2.0 * (log_norm_eta(iso.target) - log_norm_eta(tau))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ellgreen.heights import (
     CurveHeightInput,
-    _average_green_over_cyclic,
     average_green_over_cyclic,
     average_height_increment,
     cyclic_log_green_constant,
@@ -18,8 +17,7 @@ from ellgreen.heights import (
     faltings_height,
 )
 from ellgreen.green import (
-    _energies,
-    _torsion_product,
+    Torus,
     a_invariant_adjunction_check,
     energy,
     green,
@@ -41,7 +39,7 @@ from ellgreen.lattice import (
     reduce_tau,
     subgroup_points,
 )
-from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _Torus, _log_abs_eta, _shifted_sum,
+from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _log_abs_eta, _series, _shifted_sum,
                               invariants, log_abs_theta_shifted, log_norm_delta, log_norm_eta)
 from ellgreen.weierstrass import two_torsion_green_check
 
@@ -326,7 +324,7 @@ def test_shared_table_sums_equal_one_list_calls(tau, n):
     # a sum depends on its own group only, not on the groups sharing the table
     subs = cyclic_subgroups(n)
     def sums(subs):
-        torus = _Torus(tau, DEFAULT_TOL)
+        torus = Torus(tau, DEFAULT_TOL)
         return torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
 
     alone = [sums([sub])[0] for sub in subs]
@@ -336,10 +334,10 @@ def test_shared_table_sums_equal_one_list_calls(tau, n):
 
 @pytest.mark.parametrize("tau", [TAU, UNREDUCED_TAU], ids=["reduced", "unreduced"])
 def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
-    # run_checks hands one _Torus record per tau to the torsion (2), kernel
+    # run_checks hands one Torus record per tau to the torsion (2), kernel
     # (3), subgroup (5) and exact-order (6) sums at N <= 12: in any call order,
     # each call's sums equal (==) those from a fresh record
-    calls, torus = [], _Torus(tau, DEFAULT_TOL)  # the class lists depend on tau alone
+    calls, torus = [], Torus(tau, DEFAULT_TOL)  # the class lists depend on tau alone
     for n in range(1, 13):
         subs = cyclic_subgroups(n)
         kernels = [quotient(tau, sub).coordinate_matrix() for sub in subs]
@@ -349,40 +347,44 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
             (n, [torus.walk(n, sub.u, sub.v) for sub in subs]),
             (n, [torus.torsion_classes(n, exact_order=True)]),
         ]
-    fresh = [_Torus(tau, DEFAULT_TOL).log_green_sums(n, lists) for n, lists in calls]
+    fresh = [Torus(tau, DEFAULT_TOL).log_green_sums(n, lists) for n, lists in calls]
     in_order = list(range(len(calls)))
     for order in (in_order, in_order[::-1], random.Random(5).sample(in_order, len(calls))):
-        shared = _Torus(tau, DEFAULT_TOL)
+        shared = Torus(tau, DEFAULT_TOL)
         for k in order:
             n, lists = calls[k]
             assert shared.log_green_sums(n, lists) == fresh[k]
-    # the cores on one record equal the public functions, each on its own
-    shared = _Torus(tau, DEFAULT_TOL)
+    # the methods on one record equal the public functions, each on its own
+    shared = Torus(tau, DEFAULT_TOL)
     for n in range(12, 0, -1):
-        subs = cyclic_subgroups(n)
-        isos = [quotient(tau, sub) for sub in subs]
-        log_targets = [log_norm_eta(iso.target) for iso in isos]
-        assert (shared.log_green_sums(n, [shared.torsion_classes(n, exact_order=True)])[0]
-                == exact_order_log_green(tau, n))
-        assert (_average_green_over_cyclic(shared, n, subs, log_targets)
-                == average_green_over_cyclic(tau, n))
-        assert _energies(shared, list(zip(isos, log_targets))) == [energy(iso) for iso in isos]
-        assert _torsion_product(shared, n) == torsion_product(tau, n)
+        isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
+        assert shared.exact_order_log_green(n) == exact_order_log_green(tau, n)
+        assert shared.average_green_over_cyclic(n) == average_green_over_cyclic(tau, n)
+        assert shared.energies(n) == [energy(iso) for iso in isos]
+        assert shared.torsion_product(n) == torsion_product(tau, n)
 
 
 def test_a_record_keeps_only_finished_log_green_values():
     # weight and phase rows live for one request: after each, every n-table maps
-    # the int a*n + b to the float log G(0, (a + b*red)/n), and nothing else is kept
-    torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
-    assert "tau" not in _Torus.__slots__
+    # the int a*n + b to the float log G(0, (a + b*red)/n), and the private state
+    # holds nothing else: the tables, the series constants and the quotient lists
+    torus = Torus(UNREDUCED_TAU, DEFAULT_TOL)
+    assert [name for name in Torus.__slots__ if name.startswith("_")] == [
+        "_tables", "_series", "_quotients"]
     for n in (6, 4, 6, 12):
         subs = cyclic_subgroups(n)
         torus.log_green_sums(n, [torus.torsion_classes(n, exact_order=True)])
         torus.log_green_sums(n, [torus.walk(n, sub.u, sub.v) for sub in subs])
-        for m, table in torus.tables.items():
+        for m, table in torus._tables.items():
             assert all(key.__class__ is int and value.__class__ is float
                        and value == torus.log_green(key // m / m, key % m / m)
                        for key, value in table.items())
+    assert torus._series == _series(torus.red, DEFAULT_TOL)
+    assert torus._quotients == {}  # built by energies and average_green_over_cyclic alone
+    torus.energies(4)
+    targets = [quotient(UNREDUCED_TAU, sub).target for sub in cyclic_subgroups(4)]
+    assert [(sub, iso.target, log) for sub, iso, log in torus._quotients[4]] == [
+        (sub, target, log_norm_eta(target)) for sub, target in zip(cyclic_subgroups(4), targets)]
 
 
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
@@ -412,7 +414,7 @@ def test_one_group_sums_equal_the_sums_from_rows(tau):
     # request has filled the n-table from rows it is read from the table
     for n in range(1, 13):
         for sub in cyclic_subgroups(n):
-            fresh, filled = _Torus(tau, DEFAULT_TOL), _Torus(tau, DEFAULT_TOL)
+            fresh, filled = Torus(tau, DEFAULT_TOL), Torus(tau, DEFAULT_TOL)
             t = quotient(tau, sub).coordinate_matrix()
             filled.log_green_sums(n, [filled.torsion_classes(n)])
             assert (fresh.log_green_sums(n, [fresh.kernel_classes(t, n)])
@@ -421,13 +423,13 @@ def test_one_group_sums_equal_the_sums_from_rows(tau):
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The generators `_Torus.walk` is called with, in order."""
-    walk, generators = _Torus.walk, []
+    """The generators `Torus.walk` is called with, in order."""
+    walk, generators = Torus.walk, []
 
     def spy(self, n, i, j):
         generators.append((i, j))
         return walk(self, n, i, j)
-    monkeypatch.setattr(_Torus, "walk", spy)
+    monkeypatch.setattr(Torus, "walk", spy)
     return generators
 
 
@@ -435,7 +437,7 @@ def walked(monkeypatch):
 def test_a_cyclic_kernel_is_walked_from_the_generator_of_its_matrix(tau, walked, moved_classes):
     # the generator read off T generates T's kernel, and its walk files the
     # classes that moving every pair of the group through the reduction files
-    torus = _Torus(tau, DEFAULT_TOL)
+    torus = Torus(tau, DEFAULT_TOL)
     for n in range(1, 31):
         for sub in cyclic_subgroups(n):
             t = quotient(tau, sub).coordinate_matrix()
@@ -457,7 +459,7 @@ def test_a_kernel_with_no_generator_takes_the_pairs_path(walked, moved_classes):
     for iso in [multiplication_isogeny(tau, k) for tau in (TAU, UNREDUCED_TAU)
                 for k in (2, 3, 4)] + [scaled]:
         n, t = iso.degree, iso.coordinate_matrix()
-        torus = _Torus(iso.source, DEFAULT_TOL)
+        torus = Torus(iso.source, DEFAULT_TOL)
         classes = torus.kernel_classes(t, n)
         assert walked == []
         assert classes == moved_classes(torus, _kernel_pairs(t, n), n)
@@ -470,7 +472,7 @@ def test_a_kernel_with_no_generator_takes_the_pairs_path(walked, moved_classes):
 def test_torsion_and_exact_order_classes_need_no_move(moved_classes):
     # the reduction maps the n-torsion and its points of exact order n onto
     # themselves, so their classes are read off the pairs as they are
-    torus = _Torus(UNREDUCED_TAU, DEFAULT_TOL)
+    torus = Torus(UNREDUCED_TAU, DEFAULT_TOL)
     assert torus.mat != ((1, 0), (0, 1))
     for n in range(1, 61):
         pairs = [(a, b) for a in range(n) for b in range(n)]

@@ -12,14 +12,10 @@ import json
 import random
 from pathlib import Path
 
-from ellgreen.green import _energies, _torsion_product, energy, torsion_product
-from ellgreen.heights import (
-    _average_green_over_cyclic,
-    average_green_over_cyclic,
-    exact_order_log_green,
-)
+from ellgreen.green import Torus, energy, torsion_product
+from ellgreen.heights import average_green_over_cyclic, exact_order_log_green
 from ellgreen.lattice import TauPoint, cyclic_subgroups, multiplication_isogeny, quotient
-from ellgreen.modular import DEFAULT_TOL, _Torus, log_norm_eta
+from ellgreen.modular import DEFAULT_TOL
 from ellgreen.weierstrass import two_torsion_green_check
 
 REFERENCE = Path(__file__).with_name("sum_bits.json")
@@ -55,25 +51,30 @@ def test_every_sum_keeps_its_pinned_bits():
 
 
 def test_the_cores_on_one_record_equal_the_public_calls_in_any_order():
+    # the Torus methods on one shared record, called in each order, equal the
+    # public functions on a fresh record each
     for tau, n in cases():
-        subs = cyclic_subgroups(n)
-        isos = [quotient(tau, sub) for sub in subs]
-        log_targets = [log_norm_eta(iso.target) for iso in isos]
+        isos = [quotient(tau, sub) for sub in cyclic_subgroups(n)]
         public = {
             "energies": [energy(iso) for iso in isos],
+            "energy": [energy(iso) for iso in isos[::-1]],
             "average": average_green_over_cyclic(tau, n),
             "torsion": torsion_product(tau, n),
+            "exact_order": exact_order_log_green(tau, n),
         }
-        for order in (("energies", "average", "torsion"), ("torsion", "average", "energies"),
-                      ("average", "energies", "torsion")):
-            shared = _Torus(tau, DEFAULT_TOL)
-            cores = {
-                "energies": lambda: _energies(shared, list(zip(isos, log_targets))),
-                "average": lambda: _average_green_over_cyclic(shared, n, subs, log_targets),
-                "torsion": lambda: _torsion_product(shared, n),
+        for order in (("energies", "average", "torsion", "exact_order", "energy"),
+                      ("torsion", "exact_order", "energy", "average", "energies"),
+                      ("average", "energy", "energies", "torsion", "exact_order")):
+            shared = Torus(tau, DEFAULT_TOL)
+            methods = {
+                "energies": lambda: shared.energies(n),
+                "energy": lambda: [shared.energy(iso) for iso in isos[::-1]],
+                "average": lambda: shared.average_green_over_cyclic(n),
+                "torsion": lambda: shared.torsion_product(n),
+                "exact_order": lambda: shared.exact_order_log_green(n),
             }
             for name in order:
-                assert cores[name]() == public[name]
+                assert methods[name]() == public[name]
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ import ellgreen.verify as verify
 from ellgreen.cli import main
 from ellgreen.lattice import (CyclicSubgroup, Isogeny, TauPoint, _quotient_target,
                               cyclic_subgroups, reduce_tau)
-from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, _Torus, log_abs_theta_shifted
+from ellgreen.green import Torus
+from ellgreen.modular import DEFAULT_TOL, _log_abs_eta, log_abs_theta_shifted
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -33,9 +34,9 @@ def test_worse_keeps_the_largest_residual_and_any_nan():
 
 def test_a_nan_torsion_product_fails_criterion_2(monkeypatch):
     # NaN at N = 2 only: the fold must keep it past the finite N = 3
-    monkeypatch.setattr(verify, "_torsion_product",
+    monkeypatch.setattr(Torus, "torsion_product",
                         lambda torus, n: math.nan if n == 2 else float(n))
-    sampled = [_Torus(tau, DEFAULT_TOL) for tau in TAUS]
+    sampled = [Torus(tau, DEFAULT_TOL) for tau in TAUS]
     results = verify._check_torsion_products(sampled, 3)
     assert [r.criterion for r in results] == [2, 2, 2]
     assert not any(r.passed for r in results)
@@ -103,12 +104,14 @@ def test_verify_json_prints_the_committed_output(capsys):
 
 def test_full_run_shares_one_table_per_tau_and_order(count_calls):
     # criteria 2, 3, 5 and 6 share one +-P table per (tau, N) and one subgroup
-    # list per order: at seed 3 a full run evaluates 1760 shifted theta sums
-    # and enumerates the subgroups of each order up to 30 once
+    # list per order: at seed 3 a full run evaluates 1760 shifted theta sums,
+    # enumerates the subgroups of each order up to 30 once for criteria 4 and
+    # 12, and each of the three sampled records those of each order up to 12
+    # once, for criteria 3 and 5 both
     counts = count_calls(log_abs_theta_shifted, cyclic_subgroups)
     verify.run_checks("full", 3)
     assert counts["log_abs_theta_shifted"] <= 1760
-    assert counts["cyclic_subgroups"] == 30
+    assert counts["cyclic_subgroups"] == 30 + 3 * 12
 
 
 def test_full_run_builds_each_quotient_torus_once(count_calls, monkeypatch):
