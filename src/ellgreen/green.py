@@ -14,15 +14,14 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import truediv
+from operator import attrgetter, truediv
 
 from . import _kernels
 from .lattice import (Coord, CyclicSubgroup, IntMatrix, Isogeny, TauPoint, TorusPoint, _Value,
-                      _check_order, _kernel_pairs, _mod_one, _set, cyclic_subgroups, quotient,
-                      reduce_tau)
-from .modular import (DEFAULT_TOL, SeriesTolerance, _Series, _exp_normal, _log_abs_eta,
-                      _log_abs_shifted, _phase_row, _series, _weight_row, log_abs_theta_shifted,
-                      log_norm_eta)
+                      _check_order, _kernel_pairs, _mod_one, _quotient_target, _set,
+                      cyclic_subgroups, reduce_tau)
+from .modular import (DEFAULT_TOL, SeriesTolerance, _exp_normal, _log_abs_eta, _log_abs_shifted,
+                      _phase_row, _series, _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 _TWO_PI = 2.0 * math.pi
 _LOG_MAX = math.log(sys.float_info.max)  # exp of anything above overflows a double
@@ -73,41 +72,41 @@ class Torus(_Value):
     = log|eta(red)|.  It keeps, per order n, the finished log G by +-P class,
     which every sum of that order reads, and the cyclic order-n quotients,
     which `energies` and `average_green_over_cyclic` share; no value depends
-    on the order of the calls.  Pickled as a fresh record of (tau, tol).
+    on the order of the calls.  Equal and hashed by (tau, tol), and pickled
+    as a fresh record of them.
     """
 
     __match_args__ = ("tau", "tol")
-    __slots__ = (*__match_args__, "red", "mat", "log_eta", "_tables", "_series", "_quotients")
+    __slots__ = ("_tau", "_tol", "_red", "_mat", "_log_eta", "_tables", "_series", "_quotients")
+    # plain stores, as every green() builds a record and a store through _set costs
+    # several plain ones: both hooks are object's, and the public fields are
+    # properties with no setter
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    tau, tol, red, mat, log_eta = (property(attrgetter(f"_{name}"))
+                                   for name in ("tau", "tol", "red", "mat", "log_eta"))
 
     def __init__(self, tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL):
-        red, mat = reduce_tau(tau)
-        _set(self, "tau", tau)
-        _set(self, "tol", tol)
-        _set(self, "red", red)
-        _set(self, "mat", mat)
-        _set(self, "log_eta", _log_abs_eta(red, tol))
-        _set(self, "_tables", {})  # n: {a*n + b: log G}, filled by log_green_sums
-        _set(self, "_series", None)  # _series(red, tol), at the first log G that needs it
-        _set(self, "_quotients", {})  # n: [(subgroup, quotient, log_norm_eta(target))]
+        self._tau, self._tol = tau, tol
+        self._red, self._mat = reduce_tau(tau)
+        self._log_eta = _log_abs_eta(self._red, tol)
+        self._tables = {}  # n: {a*n + b: log G}, filled by log_green_sums
+        self._series = None  # _series(red, tol), at the first log G that needs it
+        self._quotients = {}  # n: [(subgroup, T, log_norm_eta(target))] of its quotients
 
     @property
     def log_norm_eta(self) -> float:
-        return 0.25 * math.log(self.red.im) + self.log_eta
-
-    def _constants(self) -> _Series:
-        if self._series is None:
-            _set(self, "_series", _series(self.red, self.tol))
-        return self._series
+        return 0.25 * math.log(self._red.im) + self._log_eta
 
     def log_green(self, a: float, b: float) -> float:
         # log G(0, a + b*red); the (Im tau)^(1/4) of ||theta|| and ||eta|| cancel
-        return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, self._constants()) - self.log_eta
+        series = self._series = self._series or _series(self._red, self._tol)
+        return _log_abs_shifted((a + 0.5) % 1.0, (b + 0.5) % 1.0, series) - self._log_eta
 
     def log_green_at(self, a: Coord, b: Coord) -> float | None:
         # log G(0, a + b*tau), None at the origin: (a, b) moves through `mat` as in
         # transport_point, two Fractions in integers over den = qa*qb (int / int
         # rounds as float(Fraction) does), any other pair in floats
-        (ma, mb), (mc, md) = self.mat
+        (ma, mb), (mc, md) = self._mat
         if a.__class__ is Fraction and b.__class__ is Fraction:
             (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
             den = qa * qb
@@ -121,7 +120,7 @@ class Torus(_Value):
     def walk(self, n: int, i: int, j: int) -> dict[tuple[int, int], int]:
         # the +-P classes of the cyclic group of (i, j) mod n, of exact order n: g = mat.(i, j)
         # once, then k*g (k = 1..n/2) as a running sum at min(k*g, -k*g), weight 2 (1 at k = n/2)
-        (ma, mb), (mc, md) = self.mat
+        (ma, mb), (mc, md) = self._mat
         i, j = (ma * i - mb * j) % n, (md * j - mc * i) % n
         classes, a, b = {}, 0, 0
         for k in range(1, n // 2 + 1):
@@ -139,7 +138,7 @@ class Torus(_Value):
             i, j = (t22 - l * t12) % n, (l * t11 - t21) % n
             if math.gcd(i, j, n) == 1:
                 return self.walk(n, i, j)
-        (ma, mb), (mc, md) = self.mat
+        (ma, mb), (mc, md) = self._mat
         moved = [((ma * i - mb * j) % n, (md * j - mc * i) % n) for i, j in _kernel_pairs(t, n)]
         return {(a, b): 1 if (a, b) == neg else 2 for a, b in moved
                 if (a or b) and (a, b) <= (neg := (-a % n, -b % n))}
@@ -164,9 +163,9 @@ class Torus(_Value):
         # phase rows shared within the request.
         if (len(class_lists) == 1 and n not in self._tables
                 and 0 < len(class_lists[0]) <= n // 2 + 1):
-            series = self._constants()
+            series = self._series = self._series or _series(self._red, self._tol)
             return [math.fsum([w * (_log_abs_shifted((a / n + 0.5) % 1.0, (b / n + 0.5) % 1.0,
-                                                     series) - self.log_eta)
+                                                     series) - self._log_eta)
                                for (a, b), w in class_lists[0].items()])]
         table, weights, phases = self._tables.setdefault(n, {}), {}, {}
         sums = []
@@ -175,29 +174,29 @@ class Torus(_Value):
             for (a, b), w in classes.items():
                 key = a * n + b
                 if key not in table:
-                    series = self._constants()
+                    series = self._series = self._series or _series(self._red, self._tol)
                     if b not in weights:
                         weights[b] = _weight_row((b / n + 0.5) % 1.0, series)
                     if a not in phases:
                         phases[a] = _phase_row((a / n + 0.5) % 1.0, series)
-                    table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self.log_eta
+                    table[key] = log_abs_theta_shifted(weights[b], phases[a]) - self._log_eta
                 logs.append(w * table[key])
             sums.append(math.fsum(logs))
         return sums
 
-    def _cyclic_quotients(self, n: int) -> list[tuple[CyclicSubgroup, Isogeny, float]]:
-        # (sub, quotient(tau, sub), log_norm_eta of its target) per cyclic_subgroups(n), once
+    def _cyclic_quotients(self, n: int) -> list[tuple[CyclicSubgroup, IntMatrix, float]]:
+        # per cyclic_subgroups(n), once: (sub, T and log_norm_eta of the target of
+        # quotient(tau, sub)), read off the reduction as quotient reads them
         if n not in self._quotients:
-            isos = [(sub, quotient(self.tau, sub)) for sub in cyclic_subgroups(n)]
-            self._quotients[n] = [(sub, iso, log_norm_eta(iso.target, self.tol))
-                                  for sub, iso in isos]
+            self._quotients[n] = [(sub, t, log_norm_eta(target, self._tol))
+                                  for sub in cyclic_subgroups(n)
+                                  for target, _, t in (_quotient_target(self._tau, sub),)]
         return self._quotients[n]
 
-    def _kernel_energies(self, n: int, quotients: list[tuple[Isogeny, float]]
+    def _kernel_energies(self, n: int, quotients: list[tuple[IntMatrix, float]]
                          ) -> list[tuple[float, float]]:
-        # energy() of each (isogeny of degree n from tau, log_norm_eta(its target)), one request
-        log_products = self.log_green_sums(
-            n, [self.kernel_classes(iso.coordinate_matrix(), n) for iso, _ in quotients])
+        # energy() of each (T of a degree-n isogeny from tau, log_norm_eta(its target)), one request
+        log_products = self.log_green_sums(n, [self.kernel_classes(t, n) for t, _ in quotients])
         return [(_exp_log_green(log_product, self, "kernel product"),
                  math.sqrt(n) * math.exp(2.0 * (log_norm_target - self.log_norm_eta)))
                 for (_, log_norm_target), log_product in zip(quotients, log_products)]
@@ -217,16 +216,17 @@ class Torus(_Value):
     def energy(self, iso: Isogeny) -> tuple[float, float]:
         """(product, predicted) of an isogeny from tau; see `energy`.  Raises
         ValueError where iso.source is not this record's tau."""
-        if iso.source != self.tau:
-            raise ValueError(f"isogeny source {iso.source!r} is not the torus's tau {self.tau!r}")
-        return self._kernel_energies(iso.degree, [(iso, log_norm_eta(iso.target, self.tol))])[0]
+        if iso.source is not self._tau and iso.source != self._tau:  # energy() passes its own
+            raise ValueError(f"isogeny source {iso.source!r} is not the torus's tau {self._tau!r}")
+        return self._kernel_energies(
+            iso.degree, [(iso.coordinate_matrix(), log_norm_eta(iso.target, self._tol))])[0]
 
     def energies(self, n: int) -> list[tuple[float, float]]:
         """energy() of the quotient by each cyclic order-n subgroup, in
         cyclic_subgroups(n) order."""
-        return self._kernel_energies(n, [(iso, log) for _, iso, log in self._cyclic_quotients(n)])
+        return self._kernel_energies(n, [(t, log) for _, t, log in self._cyclic_quotients(n)])
 
-    def average_green_over_cyclic(self, n: int):
+    def average_green_over_cyclic(self, n: int) -> AverageHeightReport:
         """The AverageHeightReport at (tau, n); see `heights.average_green_over_cyclic`."""
         # a function-level import: heights imports this module
         from .heights import (AverageHeightReport, average_height_increment,

@@ -36,7 +36,7 @@ from .lattice import (
     quotient,
     reduce_tau,
 )
-from .modular import DEFAULT_TOL, SeriesTolerance, delta, theta, theta_dz
+from .modular import DEFAULT_TOL, SeriesTolerance, delta, eta, theta, theta_dz
 from .weierstrass import (
     PeriodData,
     _cubic_roots,  # the roots whose AGM iterations criterion 11 counts
@@ -317,12 +317,17 @@ _CM_LOG_NORM_ETA = (
 
 
 def _check_faltings(tol) -> list[CheckResult]:
-    # one embedding, no finite part: h = -log(2*pi) - 2*log||eta||(tau)
+    # one embedding, no finite part: h = -log(2*pi) - 2*log||eta||(tau); and
+    # log||eta|| from public eta itself
     worst = _worse(0.0, *(abs(faltings_height(CurveHeightInput(1, 0.0, (tau,)), tol)
                               - (-math.log(_TWO_PI) - 2.0 * log_eta))
                           for tau, log_eta in _CM_LOG_NORM_ETA))
+    worst_eta = _worse(0.0, *(abs(math.log(abs(eta(tau, tol))) + 0.25 * math.log(tau.im) - log_eta)
+                              for tau, log_eta in _CM_LOG_NORM_ETA))
     return [CheckResult(13, "height at tau = i and rho vs Chowla-Selberg closed form",
-                        worst, 1e-12)]
+                        worst, 1e-12),
+            CheckResult(13, "log||eta|| from eta at tau = i and rho vs Chowla-Selberg",
+                        worst_eta, 1e-12)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,7 @@ class WeierstrassCurve(_Value):
             # underflow, with the largest of |p|^(1/4), |q|^(1/6), |disc|^(1/12) near 1
             parts = ((p, 4), (q, 6), (disc, 12))
             k = max(math.frexp(max(abs(v.real), abs(v.imag)))[1] // w for v, w in parts if v)
-            ps, qs, ds = (complex(math.ldexp(v.real, -w * k), math.ldexp(v.imag, -w * k))
-                          for v, w in parts)
+            ps, qs, ds = (_ldexp(v, -w * k) for v, w in parts)
             p3, q2 = ps * ps * ps, qs * qs
             if abs(ds - (p3 - 27.0 * q2)) > 1e-10 * (abs(p3) + 27.0 * abs(q2)):
                 raise ValueError(f"disc = {disc!r} disagrees with p^3 - 27q^2 at p = {p!r}, "
@@ -67,6 +66,11 @@ class WeierstrassCurve(_Value):
     @property
     def discriminant(self) -> complex:
         return self.disc
+
+
+def _ldexp(v: complex, e: int) -> complex:
+    # v * 2^e, exact up to underflow; OverflowError past the doubles
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
 
 
 def _finite_complex(name: str, value) -> complex:
@@ -257,15 +261,28 @@ def thomae_residuals(tau: TauPoint, tol: SeriesTolerance = DEFAULT_TOL
 
 def discriminant_relation_residual(periods: PeriodData, curve: WeierstrassCurve,
                                    tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """Relative residual of p^3 - 27q^2 = (2*pi)^12 omega1^(-12) delta(tau)."""
-    # delta transforms with weight 12, so the identity can be evaluated at
-    # the reduced marking with omega1 rescaled by the same cocycle factor
-    red, mat = reduce_tau(periods.tau)
-    (_, _), (mc, md) = mat
-    omega1_eff = periods.omega1 * (mc * periods.tau.z + md)
-    rhs = (2.0 * _PI) ** 12 * omega1_eff ** -12 * delta(red, tol)
-    lhs = curve.discriminant
-    return abs(lhs - rhs) / abs(rhs)
+    """Relative residual of p^3 - 27q^2 = (2*pi)^12 omega1^(-12) delta(tau).
+
+    Formed as disc * omega1^12 against (2*pi)^12 delta(tau), with the two
+    factors rescaled by powers of 2 (exact), so it reads the same at every
+    scale of the curve.  Raises ArithmeticError where the residual is not a
+    double (disc * omega1^12 leaves the doubles), and as delta does.
+    """
+    # delta transforms with weight 12, so the identity can be evaluated at the
+    # reduced marking with omega1 rescaled by the same cocycle factor; then
+    # disc * omega1^12 = (2^12k disc) (2^-k omega1)^12 with |2^-k omega1| near 1
+    red, (_, (mc, md)) = reduce_tau(periods.tau)
+    omega1 = periods.omega1 * (mc * periods.tau.z + md)
+    k = math.frexp(max(abs(omega1.real), abs(omega1.imag)))[1]
+    rhs = (2.0 * _PI) ** 12 * delta(red, tol)
+    try:
+        residual = abs(_ldexp(curve.disc, 12 * k) * _ldexp(omega1, -k) ** 12 - rhs) / abs(rhs)
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise ArithmeticError(f"discriminant residual is not a double: disc * omega1^12 leaves "
+                              f"the doubles at disc = {curve.disc!r}, omega1 = {periods.omega1!r}")
+    return residual
 
 
 def root_product_discriminant(roots: RootTriple) -> complex:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -35,6 +36,34 @@ from ellgreen.modular import (DEFAULT_TOL, SeriesTolerance, _log_abs_eta, _phase
                               _weight_row, log_abs_theta_shifted, log_norm_eta)
 
 TAU = TauPoint(0.13, 1.32)
+
+
+def test_a_torus_record_is_a_read_only_value_of_tau_and_tol():
+    # equal and hashed by (tau, tol), printed and pickled as them, so an
+    # unpickled record starts with no table; no public field can be assigned
+    # or deleted
+    torus = Torus(TauPoint(0.73, 0.11))
+    torus.torsion_product(4)
+    assert torus == Torus(TauPoint(0.73, 0.11), DEFAULT_TOL)
+    assert hash(torus) == hash(Torus(TauPoint(0.73, 0.11)))
+    assert repr(torus) == f"Torus(tau={TauPoint(0.73, 0.11)!r}, tol={DEFAULT_TOL!r})"
+    copy = pickle.loads(pickle.dumps(torus))
+    assert copy == torus and copy._tables == {} and copy.mat == torus.mat
+    for name in ("tau", "tol", "red", "mat", "log_eta"):
+        with pytest.raises(AttributeError):
+            setattr(torus, name, None)
+        with pytest.raises(AttributeError):
+            delattr(torus, name)
+    with pytest.raises(AttributeError):
+        torus.extra = None
+
+
+def test_a_torus_record_takes_only_isogenies_from_its_tau():
+    # another marking of the same torus has other lattice coordinates
+    iso = quotient(TauPoint(1.13, 1.32), CyclicSubgroup(2, 1, 0))
+    with pytest.raises(ValueError, match="is not the torus's tau"):
+        Torus(TAU).energy(iso)
+    assert Torus(iso.source).energy(iso) == energy(iso)
 
 
 def test_green_vanishes_exactly_at_zero():

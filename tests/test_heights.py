@@ -369,8 +369,7 @@ def test_a_record_keeps_only_finished_log_green_values():
     # the int a*n + b to the float log G(0, (a + b*red)/n), and the private state
     # holds nothing else: the tables, the series constants and the quotient lists
     torus = Torus(UNREDUCED_TAU, DEFAULT_TOL)
-    assert [name for name in Torus.__slots__ if name.startswith("_")] == [
-        "_tables", "_series", "_quotients"]
+    assert Torus.__slots__[5:] == ("_tables", "_series", "_quotients")  # the filled state
     for n in (6, 4, 6, 12):
         subs = cyclic_subgroups(n)
         torus.log_green_sums(n, [torus.torsion_classes(n, exact_order=True)])
@@ -382,9 +381,9 @@ def test_a_record_keeps_only_finished_log_green_values():
     assert torus._series == _series(torus.red, DEFAULT_TOL)
     assert torus._quotients == {}  # built by energies and average_green_over_cyclic alone
     torus.energies(4)
-    targets = [quotient(UNREDUCED_TAU, sub).target for sub in cyclic_subgroups(4)]
-    assert [(sub, iso.target, log) for sub, iso, log in torus._quotients[4]] == [
-        (sub, target, log_norm_eta(target)) for sub, target in zip(cyclic_subgroups(4), targets)]
+    isos = [quotient(UNREDUCED_TAU, sub) for sub in cyclic_subgroups(4)]
+    assert torus._quotients == {4: [(sub, iso.coordinate_matrix(), log_norm_eta(iso.target))
+                                    for sub, iso in zip(cyclic_subgroups(4), isos)]}
 
 
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):

@@ -89,3 +89,21 @@ def test_readme_library_example_runs(capsys):
     assert len(printed) == 2 and all(math.isfinite(float(x)) for x in printed)
     product, predicted = namespace["product"], namespace["predicted"]
     assert abs(product - predicted) < 1e-10 * predicted
+
+
+def test_readme_torus_example_runs(capsys):
+    # the README's second python block: one record, several sums, each the
+    # free function's value
+    from ellgreen import TauPoint, energy, exact_order_log_green, quotient, torsion_product
+    from ellgreen.lattice import cyclic_subgroups
+
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("```python\n")[2].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.strip()
+    tau = TauPoint(0.2, 1.5)
+    torus = namespace["torus"]
+    assert torus.torsion_product(12) == torsion_product(tau, 12)
+    assert torus.exact_order_log_green(4) == exact_order_log_green(tau, 4)
+    assert torus.energies(3)[0] == energy(quotient(tau, cyclic_subgroups(3)[0]))

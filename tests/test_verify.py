@@ -1,3 +1,5 @@
+import ast
+import cmath
 import json
 import math
 import os
@@ -18,6 +20,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CLI = "import sys; from ellgreen.cli import main; sys.exit(main(sys.argv[1:]))"
 TAUS = [TauPoint(0.1, 1.2), TauPoint(-0.3, 1.4), TauPoint(0.2, 1.9)]
+
+
+PRIVATE_NAMES_VERIFY_READS = {
+    "_Value", "_set",  # CheckResult's base and its setter
+    "_midpoint_log_green_mean",  # criterion 9's direct grid sum; the public mean is closed form
+    "_cubic_roots",  # the roots whose AGM iterations criterion 11 counts
+}
+
+
+def test_verify_reads_no_other_private_name_of_the_library():
+    # the suite judges the public API: of another ellgreen module it imports
+    # no underscore name but these four, and reaches none through a module
+    tree = ast.parse((SRC / "ellgreen" / "verify.py").read_text())
+    imported, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ellgreen")):
+            for alias in node.names:
+                (modules if node.module is None else imported).add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.startswith("ellgreen"))
+    private = {name for name in imported if name.startswith("_")}
+    assert private <= PRIVATE_NAMES_VERIFY_READS, sorted(private - PRIVATE_NAMES_VERIFY_READS)
+    reached = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id in modules
+               and node.attr.startswith("_")]
+    assert reached == []
 
 
 def test_an_unknown_level_is_a_value_error():
@@ -54,13 +83,28 @@ def test_a_nan_adjunction_residual_fails_criterion_10(monkeypatch):
 
 def test_a_planted_eta_error_fails_the_height_check(monkeypatch):
     # +1e-11 in the eta product moves log||eta|| by 1e-11 and the height by
-    # 2e-11 away from the Chowla-Selberg values, which need no series
+    # 2e-11 away from the Chowla-Selberg values, which need no series: both
+    # the height line and the public eta line fail
     modular = sys.modules["ellgreen.modular"]
     exact = modular._log_eta_product
     monkeypatch.setattr(modular, "_log_eta_product", lambda tau, tol: exact(tau, tol) + 1e-11)
-    (result,) = verify._check_faltings(DEFAULT_TOL)
-    assert result.criterion == 13 and not result.passed
-    assert 1.9e-11 < result.residual < 2.1e-11
+    height, from_eta = verify._check_faltings(DEFAULT_TOL)
+    assert height.criterion == from_eta.criterion == 13
+    assert not height.passed and not from_eta.passed
+    assert 1.9e-11 < height.residual < 2.1e-11
+    assert 0.9e-11 < from_eta.residual < 1.1e-11
+
+
+def test_a_wrong_eta_exponent_fails_the_public_eta_check(monkeypatch):
+    # eta's q^(1/24) written as q^24 leaves log_norm_eta, and with it the
+    # height line, as they are; the public eta line reads it, by ~150 at tau = i
+    modular = sys.modules["ellgreen.modular"]
+    product = modular._log_eta_product
+    monkeypatch.setattr(verify, "eta", lambda tau, tol: cmath.exp(
+        2j * math.pi * tau.z * 24.0 + product(tau, tol)))
+    height, from_eta = verify._check_faltings(DEFAULT_TOL)
+    assert height.passed and not from_eta.passed
+    assert 150.0 < from_eta.residual < 151.0
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])
@@ -99,7 +143,7 @@ def test_verify_json_prints_the_committed_output(capsys):
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
-    assert len(json.loads(out, parse_constant=reject)) == 34
+    assert len(json.loads(out, parse_constant=reject)) == 35
 
 
 def test_full_run_shares_one_table_per_tau_and_order(count_calls):

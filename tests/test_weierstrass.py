@@ -217,6 +217,31 @@ def test_discriminant_relation_rescaling_invariance():
     assert discriminant_relation_residual(periods, scaled) < 1e-9
 
 
+@pytest.mark.parametrize("k", [0, 83, -83, 60])
+def test_discriminant_relation_reads_the_same_at_every_scale(k):
+    # the curve of 0.1+1.2i rescaled by 2^k (weights 4, 6, 12, exact): at k = 83
+    # the carried disc is ~1e306 and omega1^-12 leaves the doubles, yet the
+    # residual, on the period basis given or recovered, is the one at k = 0
+    tau, curve = TauPoint(0.1, 1.2), eisenstein(TauPoint(0.1, 1.2))
+    scaled = WeierstrassCurve(*(complex(math.ldexp(v.real, w * k), math.ldexp(v.imag, w * k))
+                                for v, w in ((curve.p, 4), (curve.q, 6), (curve.disc, 12))))
+    omega1 = math.ldexp(1.0, -k)
+    unit = discriminant_relation_residual(PeriodData(1.0, tau.z, tau), curve)
+    assert 0.0 < unit < 1e-14
+    assert discriminant_relation_residual(PeriodData(omega1, omega1 * tau.z, tau), scaled) == unit
+    assert discriminant_relation_residual(periods_from_curve(scaled), scaled) < 1e-14
+
+
+def test_discriminant_relation_outside_the_doubles_is_an_arithmetic_error():
+    # omega1 = 1e-30 on the unit curve: disc * omega1^12 underflows against
+    # (2*pi)^12 delta, a residual of 1; omega1 = 1e30: it overflows, and the
+    # residual (~1e360) is no double
+    curve = eisenstein(TAU)
+    assert discriminant_relation_residual(PeriodData(1e-30, 1e-30 * TAU.z, TAU), curve) == 1.0
+    with pytest.raises(ArithmeticError, match="discriminant residual is not a double"):
+        discriminant_relation_residual(PeriodData(1e30, 1e30 * TAU.z, TAU), curve)
+
+
 def test_root_product_matches_discriminant(sample_taus):
     for tau in sample_taus:
         cross = root_product_discriminant(half_period_roots(tau))
