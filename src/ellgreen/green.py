@@ -17,8 +17,8 @@ from fractions import Fraction
 from operator import attrgetter, truediv
 
 from . import _kernels
-from .lattice import (Coord, CyclicSubgroup, IntMatrix, Isogeny, TauPoint, TorusPoint, _Value,
-                      _check_order, _kernel_pairs, _mod_one, _quotient_target, _set,
+from .lattice import (Coord, IntMatrix, Isogeny, TauPoint, TorusPoint, _Value, _check_order,
+                      _kernel_pairs, _mod_one, _quotient_target, _set,
                       cyclic_subgroups, reduce_tau)
 from .modular import (DEFAULT_TOL, SeriesTolerance, _exp_normal, _log_abs_eta, _log_abs_shifted,
                       _phase_row, _series, _weight_row, log_abs_theta_shifted, log_norm_eta)
@@ -69,15 +69,16 @@ class Torus(_Value):
     """The torus marked by tau, reduced once: the record every value and sum
     of log G is evaluated on.  Read-only fields: `tau` and `tol` as given,
     the reduced tau `red`, the matrix `mat` with red = mat.tau and `log_eta`
-    = log|eta(red)|.  It keeps, per order n, the finished log G by +-P class,
-    which every sum of that order reads, and the cyclic order-n quotients,
-    which `energies` and `average_green_over_cyclic` share; no value depends
-    on the order of the calls.  Equal and hashed by (tau, tol), and pickled
-    as a fresh record of them.
+    = log|eta(red)|.  It keeps only finished floats: per order n, log G by
+    +-P class, which every sum of that order reads, and per cyclic order-n
+    quotient its kernel's log G sum and the target's log||eta||, which
+    `energies` and `average_green_over_cyclic` share; no value depends on the
+    order of the calls.  Equal and hashed by (tau, tol), and pickled as a
+    fresh record of them.
     """
 
     __match_args__ = ("tau", "tol")
-    __slots__ = ("_tau", "_tol", "_red", "_mat", "_log_eta", "_tables", "_series", "_quotients")
+    __slots__ = ("_tau", "_tol", "_red", "_mat", "_log_eta", "_tables", "_series", "_cyclic")
     # plain stores, as every green() builds a record and a store through _set costs
     # several plain ones: both hooks are object's, and the public fields are
     # properties with no setter
@@ -91,7 +92,7 @@ class Torus(_Value):
         self._log_eta = _log_abs_eta(self._red, tol)
         self._tables = {}  # n: {a*n + b: log G}, filled by log_green_sums
         self._series = None  # _series(red, tol), at the first log G that needs it
-        self._quotients = {}  # n: [(subgroup, T, log_norm_eta(target))] of its quotients
+        self._cyclic = {}  # n: [(kernel log G sum, log_norm_eta(target))] of its quotients
 
     @property
     def log_norm_eta(self) -> float:
@@ -184,22 +185,20 @@ class Torus(_Value):
             sums.append(math.fsum(logs))
         return sums
 
-    def _cyclic_quotients(self, n: int) -> list[tuple[CyclicSubgroup, IntMatrix, float]]:
-        # per cyclic_subgroups(n), once: (sub, T and log_norm_eta of the target of
-        # quotient(tau, sub)), read off the reduction as quotient reads them
-        if n not in self._quotients:
-            self._quotients[n] = [(sub, t, log_norm_eta(target, self._tol))
-                                  for sub in cyclic_subgroups(n)
-                                  for target, _, t in (_quotient_target(self._tau, sub),)]
-        return self._quotients[n]
+    def _cyclic_sums(self, n: int) -> list[tuple[float, float]]:
+        # per cyclic_subgroups(n), once: (log G summed over the kernel, log_norm_eta of
+        # the target) of quotient(tau, sub), T read off the reduction as quotient reads it
+        if n not in self._cyclic:
+            quotients = [_quotient_target(self._tau, sub) for sub in cyclic_subgroups(n)]
+            sums = self.log_green_sums(n, [self.kernel_classes(t, n) for _, _, t in quotients])
+            self._cyclic[n] = [(log_sum, log_norm_eta(target, self._tol))
+                               for (target, _, _), log_sum in zip(quotients, sums)]
+        return self._cyclic[n]
 
-    def _kernel_energies(self, n: int, quotients: list[tuple[IntMatrix, float]]
-                         ) -> list[tuple[float, float]]:
-        # energy() of each (T of a degree-n isogeny from tau, log_norm_eta(its target)), one request
-        log_products = self.log_green_sums(n, [self.kernel_classes(t, n) for t, _ in quotients])
-        return [(_exp_log_green(log_product, self, "kernel product"),
-                 math.sqrt(n) * math.exp(2.0 * (log_norm_target - self.log_norm_eta)))
-                for (_, log_norm_target), log_product in zip(quotients, log_products)]
+    def _energy(self, n: int, log_product: float, log_norm_target: float) -> tuple[float, float]:
+        # energy() of a degree-n isogeny from its kernel's log G sum and log_norm_eta(target)
+        return (_exp_log_green(log_product, self, "kernel product"),
+                math.sqrt(n) * math.exp(2.0 * (log_norm_target - self.log_norm_eta)))
 
     def green(self, z: TorusPoint) -> GreenValue:
         """G(0, z), z in tau's lattice coordinates; see `green`."""
@@ -218,28 +217,28 @@ class Torus(_Value):
         ValueError where iso.source is not this record's tau."""
         if iso.source is not self._tau and iso.source != self._tau:  # energy() passes its own
             raise ValueError(f"isogeny source {iso.source!r} is not the torus's tau {self._tau!r}")
-        return self._kernel_energies(
-            iso.degree, [(iso.coordinate_matrix(), log_norm_eta(iso.target, self._tol))])[0]
+        n = iso.degree
+        log_product = self.log_green_sums(n, [self.kernel_classes(iso.coordinate_matrix(), n)])[0]
+        return self._energy(n, log_product, log_norm_eta(iso.target, self._tol))
 
     def energies(self, n: int) -> list[tuple[float, float]]:
         """energy() of the quotient by each cyclic order-n subgroup, in
         cyclic_subgroups(n) order."""
-        return self._kernel_energies(n, [(t, log) for _, t, log in self._cyclic_quotients(n)])
+        return [self._energy(n, *sums) for sums in self._cyclic_sums(n)]
 
     def average_green_over_cyclic(self, n: int) -> AverageHeightReport:
         """The AverageHeightReport at (tau, n); see `heights.average_green_over_cyclic`."""
         # a function-level import: heights imports this module
         from .heights import (AverageHeightReport, average_height_increment,
                               cyclic_log_green_constant)
-        quotients = self._cyclic_quotients(n)
-        green_sums = self.log_green_sums(n, [self.walk(n, sub.u, sub.v) for sub, _, _ in quotients])
+        sums = self._cyclic_sums(n)
         log_delta_src = 24.0 * self.log_norm_eta
-        delta_drops = [(log_delta_src - 24.0 * log) / 12.0 for _, _, log in quotients]
         return AverageHeightReport(
             n=n,
-            green_average=math.fsum(green_sums) / len(quotients),
+            green_average=math.fsum(log_sum for log_sum, _ in sums) / len(sums),
             green_predicted=cyclic_log_green_constant(n),
-            delta_average=math.fsum(delta_drops) / len(quotients),
+            delta_average=math.fsum((log_delta_src - 24.0 * log) / 12.0 for _, log in sums)
+            / len(sums),
             delta_predicted=average_height_increment(n),
         )
 

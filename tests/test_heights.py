@@ -31,6 +31,7 @@ from ellgreen.lattice import (
     TauPoint,
     TorusPoint,
     _kernel_pairs,
+    _quotient_target,
     cyclic_subgroups,
     exact_order_points,
     mult_by_n_kernel,
@@ -367,9 +368,10 @@ def test_one_record_serves_criteria_2_3_5_and_6_in_any_order(tau):
 def test_a_record_keeps_only_finished_log_green_values():
     # weight and phase rows live for one request: after each, every n-table maps
     # the int a*n + b to the float log G(0, (a + b*red)/n), and the private state
-    # holds nothing else: the tables, the series constants and the quotient lists
+    # holds nothing else: the tables, the series constants and, per cyclic quotient,
+    # its kernel's log G sum and its target's log||eta|| (no subgroup, no matrix)
     torus = Torus(UNREDUCED_TAU, DEFAULT_TOL)
-    assert Torus.__slots__[5:] == ("_tables", "_series", "_quotients")  # the filled state
+    assert Torus.__slots__[5:] == ("_tables", "_series", "_cyclic")  # the filled state
     for n in (6, 4, 6, 12):
         subs = cyclic_subgroups(n)
         torus.log_green_sums(n, [torus.torsion_classes(n, exact_order=True)])
@@ -379,11 +381,51 @@ def test_a_record_keeps_only_finished_log_green_values():
                        and value == torus.log_green(key // m / m, key % m / m)
                        for key, value in table.items())
     assert torus._series == _series(torus.red, DEFAULT_TOL)
-    assert torus._quotients == {}  # built by energies and average_green_over_cyclic alone
+    assert torus._cyclic == {}  # built by energies and average_green_over_cyclic alone
     torus.energies(4)
     isos = [quotient(UNREDUCED_TAU, sub) for sub in cyclic_subgroups(4)]
-    assert torus._quotients == {4: [(sub, iso.coordinate_matrix(), log_norm_eta(iso.target))
-                                    for sub, iso in zip(cyclic_subgroups(4), isos)]}
+    fresh = Torus(UNREDUCED_TAU, DEFAULT_TOL)
+    assert torus._cyclic == {4: [(fresh.log_green_sums(4, [fresh.kernel_classes(
+        iso.coordinate_matrix(), 4)])[0], log_norm_eta(iso.target)) for iso in isos]}
+    assert all(value.__class__ is float for pair in torus._cyclic[4] for value in pair)
+
+
+@pytest.mark.parametrize("first, second", [("energies", "average_green_over_cyclic"),
+                                           ("average_green_over_cyclic", "energies")])
+def test_energies_and_averages_sum_each_cyclic_kernel_once(first, second, count_calls,
+                                                           monkeypatch):
+    # both read one list per order, built on the first call: each quotient's
+    # target once, and its kernel's +-P classes once, from its matrix (a walk
+    # runs only inside kernel_classes); the second call evaluates no theta sum
+    counts = count_calls(_quotient_target, log_abs_theta_shifted, _shifted_sum)
+    depth, walks = [0], []
+    kernel_classes, walk = Torus.kernel_classes, Torus.walk
+
+    def counted_kernel_classes(torus, t, n):
+        counts["kernel_classes"] += 1
+        depth[0] += 1
+        try:
+            return kernel_classes(torus, t, n)
+        finally:
+            depth[0] -= 1
+
+    def counted_walk(torus, n, i, j):
+        walks.append(depth[0])
+        return walk(torus, n, i, j)
+
+    monkeypatch.setattr(Torus, "kernel_classes", counted_kernel_classes)
+    monkeypatch.setattr(Torus, "walk", counted_walk)
+    for n in (1, 4, 12):
+        torus = Torus(UNREDUCED_TAU, DEFAULT_TOL)
+        counts.clear()
+        walks.clear()
+        getattr(torus, first)(n)
+        theta_sums = counts["log_abs_theta_shifted"], counts["_shifted_sum"]
+        getattr(torus, second)(n)
+        psi = cyclic_subgroup_count(n)
+        assert counts["kernel_classes"] == counts["_quotient_target"] == psi
+        assert walks == [1] * psi
+        assert (counts["log_abs_theta_shifted"], counts["_shifted_sum"]) == theta_sums
 
 
 def test_kernel_sums_evaluate_one_theta_sum_per_plus_minus_class(count_calls):
