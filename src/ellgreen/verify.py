@@ -39,11 +39,10 @@ from .lattice import (
 from .modular import DEFAULT_TOL, SeriesTolerance, delta, eta, theta, theta_dz
 from .weierstrass import (
     PeriodData,
-    _cubic_roots,  # the roots whose AGM iterations criterion 11 counts
+    _period_agms,  # the two AGMs periods_from_curve runs, whose iterations criterion 11 counts
     discriminant_relation_residual,
     eisenstein,
     half_period_roots,
-    optimal_agm,
     periods_from_curve,
     root_product_discriminant,
     thomae_residuals,
@@ -251,13 +250,8 @@ def _check_period_roundtrip(rng, count, tol) -> list[CheckResult]:
         periods = periods_from_curve(curve, tol)
         red, _ = reduce_tau(periods.tau)
         worst = _worse(worst, abs(red.z - tau.z))
-        roots = _cubic_roots(curve)
-        sa = cmath.sqrt(roots[0] - roots[2])
-        sb = cmath.sqrt(roots[0] - roots[1])
-        if (sb / sa).real < 0:
-            sb = -sb
-        _, iters = optimal_agm(sa, sb)
-        worst_iters = _worse(worst_iters, iters)
+        _, (_, iters_b), (_, iters_c) = _period_agms(curve)
+        worst_iters = _worse(worst_iters, iters_b, iters_c)
     return [
         CheckResult(11, f"period round trip over {count} random curves", worst, 1e-8),
         CheckResult(11, "AGM iteration count", float(worst_iters), 30.0),

@@ -81,11 +81,16 @@ def _finite_complex(name: str, value) -> complex:
 
 
 class PeriodData(_Value):
-    """An oriented period basis (omega1, omega2) with tau = omega2/omega1."""
+    """An oriented period basis (omega1, omega2) with tau = omega2/omega1.
+    ValueError for a non-finite omega1 or omega2, omega1 = 0, or a tau off
+    omega2/omega1 by over 1e-9 (1 + |omega2/omega1|)."""
 
     __slots__ = __match_args__ = ("omega1", "omega2", "tau")
 
     def __init__(self, omega1: complex, omega2: complex, tau: TauPoint):
+        omega1, omega2 = _finite_complex("omega1", omega1), _finite_complex("omega2", omega2)
+        if omega1 == 0:
+            raise ValueError("omega1 must be nonzero")
         ratio = omega2 / omega1
         if abs(ratio - tau.z) > 1e-9 * (1.0 + abs(ratio)):
             raise ValueError("tau does not match omega2/omega1")
@@ -348,6 +353,15 @@ def optimal_agm(a: complex, b: complex, rel_tol: float = 1e-15,
     )
 
 
+def _period_agms(curve: WeierstrassCurve) -> tuple[tuple[complex, ...], ...]:
+    # ((sa, sb, sc), AGM(sa, sb), AGM(sa, sc)) as (mean, iterations): the square roots of
+    # a1-a3, a1-a2 and a2-a3 (`_root_differences`), sb and sc turned to Re(s/sa) >= 0
+    d12, d13, d23 = _root_differences(*_cubic_roots(curve), curve)
+    sa = cmath.sqrt(d13)
+    sb, sc = (-s if (s / sa).real < 0 else s for s in (cmath.sqrt(d12), cmath.sqrt(d23)))
+    return (sa, sb, sc), optimal_agm(sa, sb), optimal_agm(sa, sc)
+
+
 def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_TOL
                        ) -> PeriodData:
     """Recover an oriented period basis of a curve by the optimal AGM.
@@ -363,17 +377,9 @@ def periods_from_curve(curve: WeierstrassCurve, tol: SeriesTolerance = DEFAULT_T
     the reduced period ratio; ArithmeticError where that misses (p, q) by a
     relative 1e-6, where the ratio is real, or where the AGM fails.
     """
-    d12, d13, d23 = _root_differences(*_cubic_roots(curve), curve)
-    scale = max(abs(d12), abs(d13), abs(d23))
-    sa = cmath.sqrt(d13)
-    sb = cmath.sqrt(d12)
-    sc = cmath.sqrt(d23)
-    if (sb / sa).real < 0:
-        sb = -sb
-    if (sc / sa).real < 0:
-        sc = -sc
-    omega1 = _PI / optimal_agm(sa, sb)[0]
-    omega2 = 1j * _PI / optimal_agm(sa, sc)[0]
+    roots, (mean_b, _), (mean_c, _) = _period_agms(curve)
+    scale = max(map(abs, roots)) ** 2
+    omega1, omega2 = _PI / mean_b, 1j * _PI / mean_c
     ratio = omega2 / omega1
     if ratio.imag == 0.0:
         raise ArithmeticError(f"period recovery failed: real period ratio {ratio!r}")

@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ TAUS = [TauPoint(0.1, 1.2), TauPoint(-0.3, 1.4), TauPoint(0.2, 1.9)]
 PRIVATE_NAMES_VERIFY_READS = {
     "_Value", "_set",  # CheckResult's base and its setter
     "_midpoint_log_green_mean",  # criterion 9's direct grid sum; the public mean is closed form
-    "_cubic_roots",  # the roots whose AGM iterations criterion 11 counts
+    "_period_agms",  # the two AGMs periods_from_curve runs, whose iterations criterion 11 counts
 }
 
 
@@ -93,6 +94,22 @@ def test_a_planted_eta_error_fails_the_height_check(monkeypatch):
     assert not height.passed and not from_eta.passed
     assert 1.9e-11 < height.residual < 2.1e-11
     assert 0.9e-11 < from_eta.residual < 1.1e-11
+
+
+def test_a_slow_library_agm_fails_the_iteration_count(monkeypatch):
+    # criterion 11 counts the iterations of both AGMs that periods_from_curve
+    # runs, through the library's binding: 30 more there fail the count, and
+    # the round trip, which the count does not enter, still passes
+    weierstrass = sys.modules["ellgreen.weierstrass"]
+    agm = weierstrass.optimal_agm
+
+    def slow(a, b):
+        mean, iterations = agm(a, b)
+        return mean, iterations + 30
+    monkeypatch.setattr(weierstrass, "optimal_agm", slow)
+    roundtrip, count = verify._check_period_roundtrip(random.Random(7), 5, DEFAULT_TOL)
+    assert roundtrip.passed and count.criterion == 11 and not count.passed
+    assert 32.0 <= count.residual < 40.0
 
 
 def test_a_wrong_eta_exponent_fails_the_public_eta_check(monkeypatch):

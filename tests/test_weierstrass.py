@@ -9,6 +9,7 @@ from ellgreen.weierstrass import (
     PeriodData,
     _cubic_roots,
     _match_roots,
+    _period_agms,
     _root_differences,
     RootTriple,
     WeierstrassCurve,
@@ -87,6 +88,21 @@ def test_curve_accepts_eisenstein_discriminant_far_in_the_cusp(im):
 def test_period_data_validation():
     with pytest.raises(ValueError):
         PeriodData(1.0, 2.0j, TauPoint(0.5, 2.0))
+
+
+@pytest.mark.parametrize("omega1, omega2, message", [
+    (math.inf, math.inf * TAU.z, "omega1 must be finite"),
+    (complex(math.nan, 0.0), TAU.z, "omega1 must be finite"),
+    (1.0, complex(math.inf, 1.0), "omega2 must be finite"),
+    (1.0, complex(0.0, math.nan), "omega2 must be finite"),
+    (0.0, 1.0, "omega1 must be nonzero"),
+    (0j, 0j, "omega1 must be nonzero"),
+])
+def test_period_data_rejects_periods_it_cannot_hold(omega1, omega2, message):
+    # a non-finite period makes a ratio that no comparison with tau rejects,
+    # and omega1 = 0 one that raises ZeroDivisionError: both are checked first
+    with pytest.raises(ValueError, match=message):
+        PeriodData(omega1, omega2, TAU)
 
 
 def test_root_triple_must_sum_to_zero():
@@ -448,6 +464,27 @@ def test_periods_of_seeded_curves_are_values_or_typed_errors(rng):
             assert isinstance(periods_from_curve(WeierstrassCurve(p, q)), PeriodData)
         except (ArithmeticError, ValueError):
             pass
+
+
+def test_the_period_agms_turn_each_square_root_towards_sqrt_a1_minus_a3(rng):
+    # sb = +-sqrt(a1-a2) and sc = +-sqrt(a2-a3) are turned so that Re(s/sa) >= 0,
+    # sa = sqrt(a1-a3), on seeded Eisenstein curves at a complex scale and random
+    # complex (p, q); the sample keeps each sign on some curves and turns it on others
+    turned = {"sb": set(), "sc": set()}
+    for k in range(400):
+        if k % 2:
+            curve = WeierstrassCurve(_gauss_at_scale(rng, False), _gauss_at_scale(rng, False))
+        else:
+            tau = TauPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 12.0))
+            curve = _scaled_eisenstein(tau, cmath.exp(cmath.rect(
+                5.0 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))))
+        (sa, sb, sc), _, _ = _period_agms(curve)
+        d12, d13, d23 = _root_differences(*_cubic_roots(curve), curve)
+        assert sa == cmath.sqrt(d13)
+        for name, s, d in (("sb", sb, d12), ("sc", sc, d23)):
+            assert s in (cmath.sqrt(d), -cmath.sqrt(d)) and (s / sa).real >= 0
+            turned[name].add(s != cmath.sqrt(d))
+    assert turned == {"sb": {False, True}, "sc": {False, True}}
 
 
 @pytest.mark.parametrize("tau,lam,p,q", [
