@@ -348,7 +348,7 @@ def run_checks(level: str = "full", seed: int = 7,
     # (to count_max)
     subgroups = {n: cyclic_subgroups(n) for n in range(1, count_max + 1)}
     # one record per sampled tau: criteria 2, 3, 5 and 6 share its reduction,
-    # log|eta| and +-P tables, 3 and 5 its quotients with log_norm_eta(target)
+    # log|eta| and +-P tables, 3 and 5 its kernel sums and log_norm_eta per quotient
     sampled = [Torus(tau, tol) for tau in taus3]
 
     results: list[CheckResult] = []
